@@ -7,68 +7,101 @@
 
 namespace skalla {
 
+namespace {
+
+// The Status Append returns for a non-NULL value the column's declared
+// type cannot hold.
+Status Mismatch(ValueType column_type, const Value& v) {
+  if (column_type == ValueType::kNull) {
+    return Status::TypeError("cannot store values in an untyped column");
+  }
+  const char* column_name = column_type == ValueType::kInt64     ? "an INT64"
+                            : column_type == ValueType::kFloat64 ? "a FLOAT64"
+                                                                 : "a STRING";
+  return Status::TypeError(
+      StrCat("cannot store ", v.ToString(), " in ", column_name, " column"));
+}
+
+}  // namespace
+
 Status Column::Append(const Value& v) {
-  if (v.is_null()) {
-    valid_.push_back(0);
-    switch (type_) {
-      case ValueType::kInt64:
-        ints_.push_back(0);
-        break;
-      case ValueType::kFloat64:
-        doubles_.push_back(0.0);
-        break;
-      case ValueType::kString:
-        strings_.emplace_back();
-        break;
-      default:
-        break;
-    }
-    return Status::OK();
-  }
-  switch (type_) {
-    case ValueType::kInt64: {
-      if (!v.is_numeric()) {
-        return Status::TypeError(
-            StrCat("cannot store ", v.ToString(), " in an INT64 column"));
-      }
-      int64_t stored;
-      if (v.is_int64()) {
-        stored = v.int64();
-      } else {
-        // Only integral doubles may enter an INT64 column: silent
-        // truncation would diverge from the row engine's semantics.
-        double d = v.float64();
-        stored = static_cast<int64_t>(d);
-        if (static_cast<double>(stored) != d) {
-          return Status::TypeError(
-              StrCat("non-integral value ", v.ToString(),
-                     " cannot be stored in an INT64 column"));
-        }
-      }
-      valid_.push_back(1);
-      ints_.push_back(stored);
-      return Status::OK();
-    }
-    case ValueType::kFloat64:
-      if (!v.is_numeric()) {
-        return Status::TypeError(
-            StrCat("cannot store ", v.ToString(), " in a FLOAT64 column"));
-      }
-      valid_.push_back(1);
-      doubles_.push_back(v.AsDouble());
-      return Status::OK();
-    case ValueType::kString:
-      if (!v.is_string()) {
-        return Status::TypeError(
-            StrCat("cannot store ", v.ToString(), " in a STRING column"));
-      }
-      valid_.push_back(1);
-      strings_.push_back(v.str());
-      return Status::OK();
+  switch (v.type()) {
     case ValueType::kNull:
-      return Status::TypeError("cannot store values in an untyped column");
+      AppendNull();
+      return Status::OK();
+    case ValueType::kInt64:
+      return AppendInt64(v.int64());
+    case ValueType::kFloat64:
+      return AppendFloat64(v.float64());
+    case ValueType::kString:
+      return AppendString(v.str());
   }
-  return Status::Internal("unknown column type");
+  return Status::Internal("unknown value type");
+}
+
+void Column::AppendNull() {
+  valid_.push_back(0);
+  switch (type_) {
+    case ValueType::kInt64:
+      ints_.push_back(0);
+      break;
+    case ValueType::kFloat64:
+      doubles_.push_back(0.0);
+      break;
+    case ValueType::kString:
+      strings_.emplace_back();
+      break;
+    default:
+      break;
+  }
+}
+
+Status Column::AppendInt64(int64_t v) {
+  switch (type_) {
+    case ValueType::kInt64:
+      ints_.push_back(v);
+      break;
+    case ValueType::kFloat64:
+      doubles_.push_back(static_cast<double>(v));
+      break;
+    default:
+      return Mismatch(type_, Value(v));
+  }
+  valid_.push_back(1);
+  return Status::OK();
+}
+
+Status Column::AppendFloat64(double v) {
+  switch (type_) {
+    case ValueType::kInt64:
+      // Only integral doubles may enter an INT64 column: silent
+      // truncation would diverge from the row engine's semantics. The
+      // range test (false for NaN) keeps the cast defined.
+      if (!(v >= -0x1p63 && v < 0x1p63) ||
+          static_cast<double>(static_cast<int64_t>(v)) != v) {
+        return Status::TypeError(
+            StrCat("non-integral value ", Value(v).ToString(),
+                   " cannot be stored in an INT64 column"));
+      }
+      ints_.push_back(static_cast<int64_t>(v));
+      break;
+    case ValueType::kFloat64:
+      doubles_.push_back(v);
+      break;
+    default:
+      return Mismatch(type_, Value(v));
+  }
+  valid_.push_back(1);
+  return Status::OK();
+}
+
+Status Column::AppendString(std::string_view v) {
+  if (type_ != ValueType::kString) {
+    return Mismatch(type_, Value(std::string(v)));
+  }
+  strings_.emplace_back(v);
+  valid_.push_back(1);
+  return Status::OK();
 }
 
 Value Column::GetValue(size_t i) const {

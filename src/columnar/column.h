@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -27,6 +28,15 @@ class Column {
   /// (INT64 accepts integral FLOAT64 per the engine's numeric
   /// compatibility and vice versa).
   Status Append(const Value& v);
+
+  /// Typed appends with Append's acceptance rules and Status codes,
+  /// without boxing the cell into a Value first: NULL goes to any
+  /// column, INT64 to INT64 or FLOAT64, an integral FLOAT64 to INT64,
+  /// STRING only to STRING.
+  void AppendNull();
+  Status AppendInt64(int64_t v);
+  Status AppendFloat64(double v);
+  Status AppendString(std::string_view v);
 
   bool IsNull(size_t i) const { return valid_[i] == 0; }
 

@@ -17,6 +17,9 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
 
 namespace {
 
+// The most rows ReadTable accepts for a table without columns.
+constexpr uint64_t kMaxZeroColumnRows = uint64_t{1} << 20;
+
 size_t VarintSize(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -39,6 +42,25 @@ uint64_t ValueSize(const Value& v) {
   }
   return 1;
 }
+
+// The ReadCell sink behind ReadValue: boxes the one cell it receives.
+struct ValueSink {
+  Value value;
+
+  void AppendNull() {}
+  Status AppendInt64(int64_t v) {
+    value = Value(v);
+    return Status::OK();
+  }
+  Status AppendFloat64(double v) {
+    value = Value(v);
+    return Status::OK();
+  }
+  Status AppendString(std::string_view v) {
+    value = Value(std::string(v));
+    return Status::OK();
+  }
+};
 
 }  // namespace
 
@@ -66,54 +88,14 @@ void WriteValue(std::vector<uint8_t>* out, const Value& v) {
   }
 }
 
+Status BadValueTagError(uint8_t tag) {
+  return Status::IOError(StrCat("bad value type tag ", int{tag}));
+}
+
 Result<Value> ReadValue(ByteReader* reader) {
-  SKALLA_ASSIGN_OR_RETURN(uint8_t tag, reader->ReadByte());
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kInt64: {
-      SKALLA_ASSIGN_OR_RETURN(uint64_t raw, reader->ReadVarint());
-      return Value(ZigzagDecode(raw));
-    }
-    case ValueType::kFloat64: {
-      SKALLA_ASSIGN_OR_RETURN(const uint8_t* raw, reader->ReadBytes(8));
-      double d;
-      std::memcpy(&d, raw, 8);
-      return Value(d);
-    }
-    case ValueType::kString: {
-      SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader->ReadVarint());
-      SKALLA_ASSIGN_OR_RETURN(const uint8_t* bytes, reader->ReadBytes(len));
-      return Value(std::string(reinterpret_cast<const char*>(bytes), len));
-    }
-    default:
-      return Status::IOError(StrCat("bad value type tag ", int{tag}));
-  }
-}
-
-Result<uint64_t> ByteReader::ReadVarint() {
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos_ >= size_) return Status::IOError("truncated varint");
-    uint8_t b = data_[pos_++];
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-    if (shift >= 64) return Status::IOError("varint too long");
-  }
-}
-
-Result<uint8_t> ByteReader::ReadByte() {
-  if (pos_ >= size_) return Status::IOError("truncated buffer");
-  return data_[pos_++];
-}
-
-Result<const uint8_t*> ByteReader::ReadBytes(size_t n) {
-  if (pos_ + n > size_) return Status::IOError("truncated buffer");
-  const uint8_t* p = data_ + pos_;
-  pos_ += n;
-  return p;
+  ValueSink sink;
+  SKALLA_RETURN_NOT_OK(ReadCell(reader, &sink));
+  return std::move(sink.value);
 }
 
 void WriteTable(const Table& table, std::vector<uint8_t>* out) {
@@ -151,6 +133,18 @@ Result<Table> ReadTable(const uint8_t* data, size_t size) {
   }
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadVarint());
+  // Every cell takes at least one byte, so a row count the remaining
+  // bytes cannot hold is rejected before it sizes an allocation. Rows of
+  // a zero-column table take no bytes at all; their count gets a fixed
+  // cap instead.
+  const uint64_t max_rows = num_fields == 0
+                                ? kMaxZeroColumnRows
+                                : reader.remaining() / num_fields;
+  if (num_rows > max_rows) {
+    return Status::IOError(StrCat("table announces ", num_rows, " rows of ",
+                                  num_fields, " cells in ",
+                                  reader.remaining(), " bytes"));
+  }
   Table table(schema);
   table.Reserve(num_rows);
   for (uint64_t r = 0; r < num_rows; ++r) {

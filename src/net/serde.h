@@ -15,8 +15,11 @@
 #define SKALLA_NET_SERDE_H_
 
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "storage/table.h"
 
@@ -33,15 +36,35 @@ inline int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// Cursor over an encoded buffer.
+/// Cursor over an encoded buffer. The reads are inline: chunk decode
+/// calls them once or twice per cell.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  Result<uint64_t> ReadVarint();
-  Result<uint8_t> ReadByte();
+  Result<uint64_t> ReadVarint() {
+    uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      if (pos_ >= size_) return Status::IOError("truncated varint");
+      uint8_t b = data_[pos_++];
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+      shift += 7;
+      if (shift >= 64) return Status::IOError("varint too long");
+    }
+  }
+  Result<uint8_t> ReadByte() {
+    if (pos_ >= size_) return Status::IOError("truncated buffer");
+    return data_[pos_++];
+  }
   /// Reads `n` raw bytes; the returned pointer aliases the buffer.
-  Result<const uint8_t*> ReadBytes(size_t n);
+  Result<const uint8_t*> ReadBytes(size_t n) {
+    if (n > size_ - pos_) return Status::IOError("truncated buffer");
+    const uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
 
   size_t remaining() const { return size_ - pos_; }
 
@@ -53,6 +76,42 @@ class ByteReader {
 
 /// Appends one value (type tag + payload per the cell format above).
 void WriteValue(std::vector<uint8_t>* out, const Value& v);
+
+/// The IOError for a cell whose type tag names no ValueType.
+Status BadValueTagError(uint8_t tag);
+
+/// Decodes one cell written by WriteValue and hands its payload to the
+/// matching `sink` method: AppendNull(), AppendInt64(int64_t),
+/// AppendFloat64(double) or AppendString(std::string_view). Truncation,
+/// bad tags and over-long varints are IOError; a sink's own Status is
+/// returned as is. A Column is a sink, so chunk decode fills typed
+/// vectors with no Value in between.
+template <typename Sink>
+Status ReadCell(ByteReader* reader, Sink* sink) {
+  SKALLA_ASSIGN_OR_RETURN(uint8_t tag, reader->ReadByte());
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      sink->AppendNull();
+      return Status::OK();
+    case ValueType::kInt64: {
+      SKALLA_ASSIGN_OR_RETURN(uint64_t raw, reader->ReadVarint());
+      return sink->AppendInt64(ZigzagDecode(raw));
+    }
+    case ValueType::kFloat64: {
+      SKALLA_ASSIGN_OR_RETURN(const uint8_t* raw, reader->ReadBytes(8));
+      double d;
+      std::memcpy(&d, raw, 8);
+      return sink->AppendFloat64(d);
+    }
+    case ValueType::kString: {
+      SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader->ReadVarint());
+      SKALLA_ASSIGN_OR_RETURN(const uint8_t* bytes, reader->ReadBytes(len));
+      return sink->AppendString(
+          std::string_view(reinterpret_cast<const char*>(bytes), len));
+    }
+  }
+  return BadValueTagError(tag);
+}
 
 /// Reads one value written by WriteValue.
 Result<Value> ReadValue(ByteReader* reader);

@@ -142,12 +142,19 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider) const {
   std::unordered_map<uint64_t, std::vector<size_t>> seen;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
-    for (size_t r = 0; r < pin->num_rows(); ++r) {
-      const Row& source_row = pin->row(r);
-      if (bound != nullptr && !bound->EvalBool(nullptr, &source_row)) {
-        continue;
+    const Chunk& chunk = *pin;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      Row row;
+      if (bound == nullptr) {
+        // No predicate: box only the projected columns, never the whole
+        // row of a freshly loaded chunk.
+        row.reserve(indices.size());
+        for (size_t idx : indices) row.push_back(chunk.column(idx).GetValue(r));
+      } else {
+        const Row& source_row = chunk.row(r);
+        if (!bound->EvalBool(nullptr, &source_row)) continue;
+        row = ProjectRow(source_row, indices);
       }
-      Row row = ProjectRow(source_row, indices);
       if (distinct) {
         uint64_t h = HashRow(row);
         std::vector<size_t>& bucket = seen[h];

@@ -10,17 +10,31 @@ namespace rpc {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected 0xEDB88320 polynomial: table[0]
+// is the classic bytewise table, and table[k][b] is the CRC state after
+// byte b is followed by k zero bytes, so eight table lookups fold eight
+// input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 void PutLe32(std::vector<uint8_t>* out, uint32_t v) {
   out->push_back(static_cast<uint8_t>(v));
@@ -39,9 +53,16 @@ uint32_t GetLe32(const uint8_t* p) {
 uint32_t Crc32Init() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
-  for (size_t i = 0; i < size; ++i) {
-    state = kTable[(state ^ data[i]) & 0xFF] ^ (state >> 8);
+  const auto& t = kCrcTables;
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = state ^ GetLe32(data);
+    const uint32_t hi = GetLe32(data + 4);
+    state = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+            t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    state = t[0][(state ^ *data) & 0xFF] ^ (state >> 8);
   }
   return state;
 }
@@ -109,11 +130,17 @@ Result<uint32_t> DecodeFrameHeader(const uint8_t* header, size_t size,
   if (header[6] != 0 || header[7] != 0) {
     return Status::IOError("reserved frame header bytes are non-zero");
   }
+  const uint32_t payload_len = GetLe32(header + 8);
+  if (payload_len > kMaxFramePayloadBytes) {
+    return Status::IOError(StrCat("frame announces ", payload_len,
+                                  " payload bytes, above the cap of ",
+                                  kMaxFramePayloadBytes));
+  }
   if (type_out != nullptr) {
     *type_out = static_cast<MessageType>(header[5]);
   }
   if (crc_out != nullptr) *crc_out = GetLe32(header + 12);
-  return GetLe32(header + 8);
+  return payload_len;
 }
 
 Result<Frame> DecodeFrame(const uint8_t* data, size_t size) {

@@ -57,6 +57,10 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      chaos_faults (which kernels the round's evaluation actually used)
 inline constexpr uint8_t kProtocolVersion = 6;
 inline constexpr size_t kFrameHeaderSize = 16;
+/// The largest payload a frame may announce (1 GiB). DecodeFrameHeader
+/// rejects a longer length before anything is allocated, so a corrupt
+/// or hostile header cannot size a receiver's buffer.
+inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 30;
 
 /// What a frame carries. Requests flow coordinator -> site; responses
 /// site -> coordinator; kTableResult doubles as the payload type for
@@ -114,8 +118,9 @@ std::vector<uint8_t> EncodeFrame(MessageType type,
 /// Validates a 16-byte header. On success returns the payload length;
 /// `type_out` (may be nullptr) receives the message type and `crc_out`
 /// (may be nullptr) the expected frame CRC (header bytes [0, 12) +
-/// payload). Wrong magic/garbled headers are IOError; a foreign
-/// protocol version is VersionMismatch.
+/// payload). Wrong magic/garbled headers and lengths above
+/// kMaxFramePayloadBytes are IOError; a foreign protocol version is
+/// VersionMismatch.
 Result<uint32_t> DecodeFrameHeader(const uint8_t* header, size_t size,
                                    MessageType* type_out, uint32_t* crc_out);
 

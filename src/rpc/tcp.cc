@@ -24,6 +24,9 @@ namespace rpc {
 
 namespace {
 
+// RecvFrame reads a payload at most this many bytes at a time.
+constexpr size_t kRecvPieceBytes = size_t{1} << 20;
+
 Status Errno(const char* what) {
   return Status::IOError(StrCat(what, ": ", std::strerror(errno)));
 }
@@ -191,10 +194,17 @@ Result<Frame> RecvFrame(TcpSocket* socket, double timeout_s,
       DecodeFrameHeader(header, sizeof(header), &type, &expected_crc));
   Frame frame;
   frame.type = type;
-  frame.payload.resize(payload_len);
-  if (payload_len > 0) {
-    SKALLA_RETURN_NOT_OK(
-        socket->RecvAll(frame.payload.data(), payload_len, timeout_s));
+  // Grow the buffer only as payload bytes arrive: a header that
+  // overstates its length costs the bytes actually sent, not the length
+  // it announces. The whole payload still shares one timeout.
+  Stopwatch payload_watch;
+  while (frame.payload.size() < payload_len) {
+    const size_t have = frame.payload.size();
+    const size_t piece = std::min<size_t>(payload_len - have, kRecvPieceBytes);
+    frame.payload.resize(have + piece);
+    SKALLA_RETURN_NOT_OK(socket->RecvAll(
+        frame.payload.data() + have, piece,
+        timeout_s - payload_watch.ElapsedSeconds()));
   }
   SKALLA_OBS_ONLY(frame_watch.Reset());
   if (FrameCrc(header, frame.payload.data(), frame.payload.size()) !=

@@ -51,6 +51,9 @@ void EncodeSchema(const Schema& schema, std::vector<uint8_t>* out) {
 
 Result<SchemaPtr> DecodeSchema(ByteReader* reader) {
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields, reader->ReadVarint());
+  if (num_fields > reader->remaining()) {
+    return Status::IOError(StrCat("schema announces ", num_fields, " fields"));
+  }
   std::vector<Field> fields;
   fields.reserve(num_fields);
   for (uint64_t i = 0; i < num_fields; ++i) {
@@ -239,6 +242,12 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
   file->num_rows_ = num_rows;
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_chunks, reader.ReadVarint());
   const size_t num_columns = file->schema_->num_fields();
+  // Every directory entry takes more than one footer byte.
+  if (num_chunks > reader.remaining()) {
+    return Status::IOError(
+        StrCat("'", file->path_, "' announces ", num_chunks, " chunks"));
+  }
+  const uint64_t payload_end = file_size - 8 - footer_len;
   file->entries_.reserve(num_chunks);
   for (uint64_t i = 0; i < num_chunks; ++i) {
     ChunkEntry entry;
@@ -246,6 +255,14 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
     SKALLA_ASSIGN_OR_RETURN(uint64_t row_count, reader.ReadVarint());
     SKALLA_ASSIGN_OR_RETURN(entry.offset, reader.ReadVarint());
     SKALLA_ASSIGN_OR_RETURN(entry.length, reader.ReadVarint());
+    // The payload must lie between the magic and the footer, and hold at
+    // least one byte per cell, before ReadChunk sizes anything from it.
+    if (entry.offset < sizeof(kChunkMagic) || entry.offset > payload_end ||
+        entry.length > payload_end - entry.offset ||
+        (num_columns != 0 && row_count > entry.length / num_columns)) {
+      return Status::IOError(StrCat("chunk ", i, " of '", file->path_,
+                                    "' has an impossible directory entry"));
+    }
     entry.row_begin = row_begin;
     entry.row_count = row_count;
     SKALLA_ASSIGN_OR_RETURN(const uint8_t* crc_bytes, reader.ReadBytes(4));
@@ -296,10 +313,13 @@ Result<ChunkPtr> ChunkFile::ReadChunk(size_t i) const {
     Column col(schema_->field(c).type);
     col.Reserve(entry.row_count);
     for (size_t r = 0; r < entry.row_count; ++r) {
-      SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
-      SKALLA_RETURN_NOT_OK(col.Append(v));
+      SKALLA_RETURN_NOT_OK(ReadCell(&reader, &col));
     }
     columns.push_back(std::move(col));
+  }
+  if (reader.remaining() != 0) {
+    return Status::IOError(
+        StrCat("trailing bytes after chunk ", i, " of '", path_, "'"));
   }
   return Chunk::FromColumns(schema_, entry.row_begin, std::move(columns),
                             entry.column_stats);

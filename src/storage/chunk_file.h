@@ -92,6 +92,10 @@ Status WriteChunkFile(const Table& table, const std::string& path,
 /// concurrent ReadChunk calls from buffer-manager loaders are safe.
 class ChunkFile {
  public:
+  /// Opens `path` and parses its footer. A directory entry whose
+  /// payload lies outside the file's payload region, or is too short
+  /// for its row count, is an IOError here rather than a huge buffer in
+  /// ReadChunk.
   static Result<std::shared_ptr<const ChunkFile>> Open(std::string path);
 
   const std::string& path() const { return path_; }
@@ -100,7 +104,10 @@ class ChunkFile {
   size_t num_chunks() const { return entries_.size(); }
   const ChunkEntry& entry(size_t i) const { return entries_[i]; }
 
-  /// Reads, CRC-checks, and decodes chunk `i`.
+  /// Reads chunk `i`, checks its CRC and decodes its cells straight
+  /// into typed columns. A payload that is not exactly row_count cells
+  /// per column, or holds a cell its column cannot store, is a typed
+  /// error, never a crash.
   Result<ChunkPtr> ReadChunk(size_t i) const;
 
  private:

@@ -2,7 +2,8 @@
 // rejection of every malformed-header class — wrong magic, foreign
 // protocol version (typed kVersionMismatch, satellite of the versioned
 // frame header work), unknown message type, truncation, and payload
-// corruption caught by the checksum.
+// corruption caught by the checksum. The sliced CRC is pinned against a
+// bytewise reference at every length, alignment and split point.
 
 #include "rpc/frame.h"
 
@@ -32,6 +33,52 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     state = Crc32Update(state, data, split);
     state = Crc32Update(state, data + split, 9 - split);
     EXPECT_EQ(Crc32Final(state), 0xCBF43926u) << "split at " << split;
+  }
+}
+
+// The textbook bytewise CRC-32, computed bit by bit: the reference the
+// sliced Crc32Update must match on every input.
+uint32_t ReferenceCrc32Update(uint32_t state, const uint8_t* data,
+                              size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseReference) {
+  // Lengths 0..300 cover every tail length around the 8-byte stride;
+  // eight start offsets cover every alignment of the first load.
+  std::vector<uint8_t> buffer(300 + 8);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t expected =
+          ReferenceCrc32Update(Crc32Init(), data, len) ^ 0xFFFFFFFFu;
+      ASSERT_EQ(Crc32(data, len), expected)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, EverySplitPointMatchesReference) {
+  std::vector<uint8_t> data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 59 + 101);
+  }
+  const uint32_t expected =
+      ReferenceCrc32Update(Crc32Init(), data.data(), data.size()) ^
+      0xFFFFFFFFu;
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t state = Crc32Update(Crc32Init(), data.data(), split);
+    state = Crc32Update(state, data.data() + split, data.size() - split);
+    ASSERT_EQ(Crc32Final(state), expected) << "split at " << split;
   }
 }
 
@@ -143,6 +190,26 @@ TEST(FrameTest, UnknownMessageTypeRejected) {
   Result<Frame> decoded = DecodeFrame(wire);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsIOError());
+}
+
+TEST(FrameTest, OversizedPayloadLengthRejectedFromHeader) {
+  // A length above the cap is refused from the header alone, so a
+  // receiver never sizes a buffer from it.
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kAck, {});
+  for (uint32_t len : {kMaxFramePayloadBytes + 1, uint32_t{0xF0000000u},
+                       uint32_t{0xFFFFFFFFu}}) {
+    std::memcpy(wire.data() + 8, &len, 4);
+    Result<uint32_t> header =
+        DecodeFrameHeader(wire.data(), wire.size(), nullptr, nullptr);
+    ASSERT_FALSE(header.ok()) << len;
+    EXPECT_TRUE(header.status().IsIOError()) << header.status().ToString();
+  }
+  const uint32_t at_cap = kMaxFramePayloadBytes;
+  std::memcpy(wire.data() + 8, &at_cap, 4);
+  Result<uint32_t> header =
+      DecodeFrameHeader(wire.data(), wire.size(), nullptr, nullptr);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(*header, kMaxFramePayloadBytes);
 }
 
 TEST(FrameTest, TruncationRejected) {

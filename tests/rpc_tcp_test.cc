@@ -3,17 +3,20 @@
 // results (and table-payload byte accounting) must match the
 // DistributedExecutor exactly. Also covers the recovery story — an
 // injected mid-round connection drop survived via reconnect + retry —
-// and the typed rejection of foreign protocol versions.
+// the typed rejection of foreign protocol versions, and a site that
+// outlives a frame header announcing a payload above the cap.
 
 #include "rpc/tcp.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "dist/exec.h"
 #include "dist/fault.h"
 #include "dist/warehouse.h"
@@ -252,6 +255,38 @@ TEST(RpcTcpTest, ForeignVersionFrameGetsTypedRejection) {
   ASSERT_EQ(response->type, MessageType::kError);
   Status rejection = ReadStatusPayload(response->payload);
   EXPECT_TRUE(rejection.IsVersionMismatch()) << rejection.ToString();
+}
+
+TEST(RpcTcpTest, OversizedFrameHeaderDropsOnlyThatConnection) {
+  Table flow = MakeFlow(50);
+  std::vector<Table> parts = PartitionByValue(flow, "SAS", 1).ValueOrDie();
+  Cluster cluster(MakeSites(parts));
+  int port = cluster.endpoints()[0].port;
+
+  // A lone header announcing a 0xF0000000-byte payload, none of which
+  // follows.
+  TcpSocket hostile =
+      TcpSocket::ConnectTo("127.0.0.1", port, 5.0).ValueOrDie();
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kCatalogRequest, {});
+  const uint32_t announced = 0xF0000000u;
+  std::memcpy(wire.data() + 8, &announced, 4);
+  Stopwatch timer;
+  ASSERT_TRUE(hostile.SendAll(wire.data(), kFrameHeaderSize, 5.0).ok());
+  Result<Frame> response = RecvFrame(&hostile, 5.0, nullptr);
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsIOError()) << response.status().ToString();
+  // Refused from the header alone: the site hangs up at once rather
+  // than waiting out its 5 s I/O timeout for the payload.
+  EXPECT_LT(timer.ElapsedSeconds(), 2.5);
+
+  // The site survived and serves the next connection.
+  TcpSocket next = TcpSocket::ConnectTo("127.0.0.1", port, 5.0).ValueOrDie();
+  ASSERT_TRUE(SendFrame(&next, MessageType::kCatalogRequest, {}, 5.0,
+                        nullptr)
+                  .ok());
+  Result<Frame> catalog = RecvFrame(&next, 5.0, nullptr);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  EXPECT_EQ(catalog->type, MessageType::kCatalogResponse);
 }
 
 // A port that was bound a moment ago but has no listener now: connects

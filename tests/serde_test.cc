@@ -1,5 +1,6 @@
 // Serialization round-trips, exact size accounting, and corrupted-input
-// handling.
+// handling, including lengths that would size an allocation past the
+// bytes actually present.
 
 #include "net/serde.h"
 
@@ -102,6 +103,74 @@ TEST(SerdeTest, BadTypeTagFails) {
     if (!decoded.ok()) ++failures;
   }
   EXPECT_GT(failures, 0);
+}
+
+// The encoded header of a table with `num_fields` INT64 columns and no
+// rows yet; the caller appends the row count and the cells.
+std::vector<uint8_t> Int64TableHeader(size_t num_fields) {
+  std::vector<uint8_t> buffer;
+  PutVarint(&buffer, num_fields);
+  for (size_t f = 0; f < num_fields; ++f) {
+    PutVarint(&buffer, 1);
+    buffer.push_back(static_cast<uint8_t>('a' + f));
+    buffer.push_back(static_cast<uint8_t>(ValueType::kInt64));
+  }
+  return buffer;
+}
+
+TEST(SerdeTest, RowCountBeyondRemainingBytesFailsBeforeAllocating) {
+  // Two columns, three bytes of cells, 2^40 rows announced: rejected from
+  // the count, before a 2^40-row reservation could be attempted.
+  std::vector<uint8_t> buffer = Int64TableHeader(2);
+  PutVarint(&buffer, uint64_t{1} << 40);
+  buffer.insert(buffer.end(), {static_cast<uint8_t>(ValueType::kInt64), 2,
+                               static_cast<uint8_t>(ValueType::kNull)});
+  auto decoded = ReadTable(buffer.data(), buffer.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
+
+  // The same cells under an honest count decode.
+  buffer = Int64TableHeader(2);
+  PutVarint(&buffer, 1);
+  buffer.insert(buffer.end(), {static_cast<uint8_t>(ValueType::kInt64), 2,
+                               static_cast<uint8_t>(ValueType::kNull)});
+  decoded = ReadTable(buffer.data(), buffer.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_rows(), 1u);
+  EXPECT_EQ(decoded->at(0, 0).int64(), 1);
+  EXPECT_TRUE(decoded->at(0, 1).is_null());
+}
+
+TEST(SerdeTest, ZeroColumnTables) {
+  // A zero-column table's rows take no bytes: a plausible count
+  // round-trips, an absurd one is refused instead of looping.
+  SchemaPtr schema = Schema::Make({}).ValueOrDie();
+  Table t(schema);
+  t.AppendUnchecked({});
+  std::vector<uint8_t> buffer;
+  WriteTable(t, &buffer);
+  Table decoded = ReadTable(buffer.data(), buffer.size()).ValueOrDie();
+  EXPECT_EQ(decoded.num_rows(), 1u);
+  EXPECT_EQ(decoded.num_columns(), 0u);
+
+  buffer = Int64TableHeader(0);
+  PutVarint(&buffer, uint64_t{1} << 62);
+  auto absurd = ReadTable(buffer.data(), buffer.size());
+  ASSERT_FALSE(absurd.ok());
+  EXPECT_TRUE(absurd.status().IsIOError());
+}
+
+TEST(SerdeTest, StringLengthPastTheEndFails) {
+  // Lengths near 2^64 must not wrap the reader's bounds check.
+  for (uint64_t len : {uint64_t{100}, ~uint64_t{0}, ~uint64_t{0} - 2}) {
+    std::vector<uint8_t> cell = {static_cast<uint8_t>(ValueType::kString)};
+    PutVarint(&cell, len);
+    cell.insert(cell.end(), {'x', 'y'});
+    ByteReader reader(cell.data(), cell.size());
+    Result<Value> v = ReadValue(&reader);
+    ASSERT_FALSE(v.ok()) << len;
+    EXPECT_TRUE(v.status().IsIOError()) << v.status().ToString();
+  }
 }
 
 TEST(SerdeTest, RandomTablesRoundTrip) {
