@@ -1,28 +1,31 @@
-// DistributedExecutor: Alg. GMDJDistribEval of the paper. Executes a
-// DistributedPlan against a set of Skalla sites and a coordinator over a
-// simulated network, producing the query result plus detailed per-round
-// cost accounting (bytes, tuples, site/coordinator compute time, modeled
-// communication time). Implements the unified skalla::Executor interface
+// DistributedExecutor: Alg. GMDJDistribEval of the paper over in-process
+// Skalla sites and a simulated network. A thin shell around the
+// RoundDriver (dist/round_driver.h): the executor is the in-process
+// SiteLink — it calls Site::ExecuteBaseQuery / EvalGmdjRound directly,
+// frames every shipped table exactly as the TCP transport would, and
+// charges the shipments to its SimulatedNetwork (bytes and modeled
+// time). Implements the unified skalla::Executor interface
 // (dist/executor.h).
 
 #ifndef SKALLA_DIST_EXEC_H_
 #define SKALLA_DIST_EXEC_H_
 
-#include <functional>
-#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "dist/coordinator.h"
 #include "dist/executor.h"
 #include "dist/plan.h"
+#include "dist/round_driver.h"
 #include "dist/site.h"
 #include "net/network.h"
 
 namespace skalla {
 
-/// Synchronous star executor. Owns the sites and the simulated network.
-class DistributedExecutor : public Executor {
+/// The in-process star executor. Owns the sites and the simulated
+/// network; sites evaluate concurrently on the driver's pool.
+class DistributedExecutor : public Executor, private SiteLink {
  public:
   explicit DistributedExecutor(std::vector<Site> sites,
                                NetworkConfig net_config = {},
@@ -39,23 +42,24 @@ class DistributedExecutor : public Executor {
 
   const char* name() const override { return "star"; }
   size_t num_sites() const override { return sites_.size(); }
-  const std::vector<Site>& sites() const { return sites_; }
   SimulatedNetwork& network() { return network_; }
 
  private:
-  // Runs fn(site_index) for every site, sequentially or on the pool;
-  // returns the first non-OK status.
-  Status ForEachSite(const std::function<Status(size_t)>& fn);
+  class StarQuery;
 
-  // Site ids of partition i's evaluation chain: primary, then replicas.
-  std::vector<int> ReplicaIds(size_t i) const;
-  // Replica r of partition i (r == 0 is the primary).
-  Site& ReplicaSite(size_t i, size_t r);
+  // SiteLink.
+  size_t num_partitions() const override { return sites_.size(); }
+  Status Prepare() override;
+  Result<SchemaPtr> TableSchema(const std::string& table) const override;
+  std::vector<int> ReplicaIds(size_t partition,
+                              bool self_contained) const override;
+  double ModelTransfer(int from, int to, uint64_t bytes) override;
+  Result<std::unique_ptr<Query>> BeginQuery(const QueryRun& run,
+                                            uint64_t query_id) override;
 
-  std::vector<Site> sites_;
-  std::map<size_t, std::vector<Site>> replicas_;
+  SiteSet sites_;
   SimulatedNetwork network_;
-  ExecutorOptions options_;
+  RoundDriver driver_;
 };
 
 }  // namespace skalla

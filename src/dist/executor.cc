@@ -1,5 +1,6 @@
 #include "dist/executor.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/macros.h"
@@ -208,25 +209,24 @@ Status QueryDeadline::ArmRound(const std::string& round,
     Status live = external_->Check();
     if (!live.ok()) return live;
   }
-  int64_t query_left = RemainingQueryMs();
-  if (query_left == 0) {
+  if (RemainingQueryMs() == 0) {
     return Status::DeadlineExceeded(
         StrCat("query deadline of ", query_ms_, " ms exceeded before round ",
                round));
   }
-  uint64_t budget = 0;
-  bool bounded = false;
-  if (round_ms_ > 0) {
-    budget = round_ms_;
-    bounded = true;
-  }
-  if (query_left > 0 &&
-      (!bounded || static_cast<uint64_t>(query_left) < budget)) {
-    budget = static_cast<uint64_t>(query_left);
-    bounded = true;
-  }
-  if (bounded) token->ArmDeadline(budget, StrCat("round ", round));
+  uint64_t budget = RoundBudgetMs();
+  if (budget > 0) token->ArmDeadline(budget, StrCat("round ", round));
   return Status::OK();
+}
+
+uint64_t QueryDeadline::RoundBudgetMs() const {
+  uint64_t ms = round_ms_;
+  int64_t left = RemainingQueryMs();
+  if (left >= 0) {
+    uint64_t left_ms = left == 0 ? 1 : static_cast<uint64_t>(left);
+    ms = ms == 0 ? left_ms : std::min(ms, left_ms);
+  }
+  return ms;
 }
 
 int64_t QueryDeadline::RemainingQueryMs() const {

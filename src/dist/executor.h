@@ -1,10 +1,12 @@
-// The unified executor API. Every engine — synchronous star
-// (DistributedExecutor), pipelined (AsyncExecutor), multi-tier
-// (TreeExecutor) — implements skalla::Executor, is configured through the
-// one shared ExecutorOptions struct, and reports per-round accounting
-// into the one shared ExecStats. Engines differ only in *how* they move
-// fragments; results are bit-identical across all of them, and byte
-// counts are identical wherever the accounting is defined the same way.
+// The unified executor API. Every engine — the in-process star
+// (DistributedExecutor), the real-process rpc engine (rpc::RpcExecutor),
+// both shells around the one RoundDriver (dist/round_driver.h), and the
+// multi-tier TreeExecutor — implements skalla::Executor, is configured
+// through the one shared ExecutorOptions struct, and reports per-round
+// accounting into the one shared ExecStats. Engines differ only in *how*
+// they move fragments; results are bit-identical across all of them, and
+// byte counts are identical wherever the accounting is defined the same
+// way.
 //
 // See docs/EXECUTORS.md for the option-by-option semantics per engine.
 
@@ -38,29 +40,10 @@ enum class OnSiteLoss {
   kDegrade,
 };
 
-/// Options shared by every executor. Each engine honors the subset that
-/// is meaningful for it (documented per field and in docs/EXECUTORS.md);
-/// none of the knobs changes query results or transfer byte counts.
+/// Options shared by every executor; every field is honored by every
+/// engine (docs/EXECUTORS.md). None of the knobs changes query results or
+/// transfer byte counts.
 struct ExecutorOptions {
-  /// Evaluate sites concurrently on a thread pool. Off by default: byte
-  /// counts are identical either way, and sequential execution gives
-  /// stable compute timings. AsyncExecutor is inherently concurrent and
-  /// ignores the flag; TreeExecutor evaluates sites sequentially (its
-  /// cost model already charges the per-level maximum).
-  bool parallel_sites = false;
-  /// Worker count for site evaluation when it is concurrent
-  /// (parallel_sites here, always in AsyncExecutor); 0 = one per site.
-  size_t num_threads = 0;
-
-  /// Row blocking (one of the classical distributed optimizations the
-  /// paper notes carries over, Sect. 4): tables ship in blocks of at most
-  /// this many rows, each block its own message, merged incrementally as
-  /// it arrives. Bounds coordinator buffering at the cost of per-message
-  /// latency and repeated headers. 0 = one message per table. Only the
-  /// DistributedExecutor blocks shipments; the other engines send one
-  /// message per fragment.
-  size_t ship_block_rows = 0;
-
   /// Sites keep columnar copies of their partitions
   /// (Catalog::WarmColumnar), so engine-kAuto GMDJ rounds on resident
   /// partitions take the vectorized kernels over prebuilt typed arrays.
@@ -172,9 +155,10 @@ EvalContext StageEvalContext(const ExecutorOptions& options,
 
 /// What one site measured evaluating one round, as reported back to the
 /// coordinator. The rpc engine fills every field from the RoundProfile
-/// each kRoundResult carries; the in-process engines fill the fields the
-/// site-side EvalProfile provides (wall/eval timings and data-plane
-/// counts) and leave the transport-only ones zero.
+/// each kRoundResult carries; the in-process star fills the fields the
+/// site-side EvalProfile provides (wall/eval timings of the attempt that
+/// answered, data-plane counts, payload bytes) and leaves the
+/// transport-only ones zero.
 struct SiteRoundProfile {
   int site_id = 0;
   uint64_t wall_us = 0;
@@ -229,8 +213,10 @@ struct RoundStats {
   /// Modeled communication time (coordinator link serialized; per-level
   /// maxima for the tree executor).
   double comm_time = 0;
-  /// Real elapsed duration of the round (only the AsyncExecutor fills
-  /// this in; it reflects actual site/merge overlap).
+  /// Real elapsed duration of the round, filled by every flat engine
+  /// (star and rpc): sites run concurrently and merging overlaps the
+  /// later sites, so it tracks site_time_max + coord_time, not
+  /// site_time_sum. The tree engine leaves it 0.
   double wall_time = 0;
 
   /// Bytes over the root coordinator's own links. Only the TreeExecutor
@@ -240,7 +226,7 @@ struct RoundStats {
   uint64_t root_bytes = 0;
 
   /// Per-site profiles for this round, ordered by site id. Filled by the
-  /// star, async, and rpc engines; empty for the tree engine (its
+  /// star and rpc engines; empty for the tree engine (its
   /// multi-tier topology has no per-site round boundary at the root).
   std::vector<SiteRoundProfile> site_profiles;
 
@@ -409,6 +395,11 @@ class QueryDeadline {
         external_(run.cancellation) {}
 
   Status ArmRound(const std::string& round, CancellationToken* token) const;
+
+  /// The budget a round may run for: the tighter of round_deadline_ms and
+  /// the query budget left (at least 1 ms), 0 = unbounded. The rpc engine
+  /// ships it to the sites with each round request.
+  uint64_t RoundBudgetMs() const;
 
   /// Milliseconds of query budget left: 0 = spent, negative = unbounded.
   int64_t RemainingQueryMs() const;

@@ -5,10 +5,12 @@
 #ifndef SKALLA_DIST_SITE_H_
 #define SKALLA_DIST_SITE_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "core/evaluate.h"
@@ -79,6 +81,43 @@ class Site {
   // Per-site round queue; shared_ptr so copies of this Site queue on the
   // same lock.
   std::shared_ptr<std::mutex> round_mu_;
+};
+
+/// The in-process sites of an engine: one primary per partition plus the
+/// replicas registered for it. A replica holds the same partition data
+/// under its own site id; rounds fail over to replicas in registration
+/// order when the primary exhausts its retries.
+class SiteSet {
+ public:
+  explicit SiteSet(std::vector<Site> primaries)
+      : primaries_(std::move(primaries)) {}
+
+  void AddReplica(size_t partition, Site replica) {
+    replicas_[partition].push_back(std::move(replica));
+  }
+
+  /// Number of partitions (replicas are not counted).
+  size_t size() const { return primaries_.size(); }
+  const Site& primary(size_t partition) const {
+    return primaries_[partition];
+  }
+
+  /// Site ids of partition `partition`'s evaluation chain: primary, then
+  /// replicas in registration order.
+  std::vector<int> ReplicaIds(size_t partition) const;
+
+  /// Replica `r` of partition `partition` (r == 0 is the primary).
+  Site& Replica(size_t partition, size_t r) {
+    return r == 0 ? primaries_[partition] : replicas_.at(partition)[r - 1];
+  }
+
+  /// Checks that every replica names an existing partition and, when
+  /// `columnar_sites` is set, builds every site's columnar cache.
+  Status Prepare(bool columnar_sites);
+
+ private:
+  std::vector<Site> primaries_;
+  std::map<size_t, std::vector<Site>> replicas_;
 };
 
 }  // namespace skalla

@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "dist/coordinator.h"
+#include "dist/round_driver.h"
 #include "net/serde.h"
 #include "obs/trace.h"
 #include "rpc/frame.h"
@@ -98,20 +99,7 @@ TreeExecutor::TreeExecutor(std::vector<Site> sites, CoordinatorTree tree,
       options_(options) {}
 
 void TreeExecutor::AddReplica(size_t partition, Site replica) {
-  replicas_[partition].push_back(std::move(replica));
-}
-
-std::vector<int> TreeExecutor::ReplicaIds(size_t i) const {
-  std::vector<int> ids{sites_[i].id()};
-  auto it = replicas_.find(i);
-  if (it != replicas_.end()) {
-    for (const Site& replica : it->second) ids.push_back(replica.id());
-  }
-  return ids;
-}
-
-Site& TreeExecutor::ReplicaSite(size_t i, size_t r) {
-  return r == 0 ? sites_[i] : replicas_.at(i)[r - 1];
+  sites_.AddReplica(partition, std::move(replica));
 }
 
 namespace {
@@ -187,46 +175,8 @@ void FoldAccum(const CoordinatorTree& tree, const RoundAccum& accum,
 
 Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
                                     const QueryRun& run, ExecStats* stats) {
-  if (sites_.empty()) {
-    return Status::InvalidArgument("executor has no sites");
-  }
-  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
-    return Status::InvalidArgument(
-        "the final plan stage must synchronize at the coordinator");
-  }
-  if (plan.stages.empty() && !plan.sync_base) {
-    return Status::InvalidArgument(
-        "a plan without GMDJ stages must synchronize its base query");
-  }
-  for (const PlanStage& stage : plan.stages) {
-    if (!stage.site_base_filters.empty() &&
-        stage.site_base_filters.size() != sites_.size()) {
-      return Status::InvalidArgument("site filter count mismatch");
-    }
-  }
-  for (const auto& [partition, replicas] : replicas_) {
-    if (partition >= sites_.size()) {
-      return Status::InvalidArgument(
-          StrCat("replica registered for partition ", partition, " but only ",
-                 sites_.size(), " partitions exist"));
-    }
-    (void)replicas;
-  }
-  if (options_.columnar_sites) {
-    for (Site& site : sites_) {
-      if (!site.columnar_enabled()) {
-        SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
-      }
-    }
-    for (auto& [partition, replicas] : replicas_) {
-      (void)partition;
-      for (Site& replica : replicas) {
-        if (!replica.columnar_enabled()) {
-          SKALLA_RETURN_NOT_OK(replica.EnableColumnarCache());
-        }
-      }
-    }
-  }
+  SKALLA_RETURN_NOT_OK(ValidatePlan(plan, sites_.size()));
+  SKALLA_RETURN_NOT_OK(sites_.Prepare(options_.columnar_sites));
 
   ExecStats local_stats;
   ExecStats& st = stats == nullptr ? local_stats : *stats;
@@ -255,8 +205,9 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
   if (shards > 1) merge_pool = std::make_unique<ThreadPool>(shards - 1);
   Coordinator root(plan.key_columns, shards, merge_pool.get());
 
+  const Catalog& probe_catalog = sites_.primary(0).catalog();
   SKALLA_ASSIGN_OR_RETURN(const DataProvider* probe,
-                          sites_[0].catalog().GetProvider(plan.base.table));
+                          probe_catalog.GetProvider(plan.base.table));
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
                           plan.base.OutputSchema(*probe->schema()));
 
@@ -272,9 +223,9 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
       Stopwatch timer;
       SiteRoundCounts counts;
       Result<Table> b_i = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
+          options_, sites_.ReplicaIds(i), rs.label,
           [&](size_t r) {
-            return ReplicaSite(i, r).ExecuteBaseQuery(plan.base);
+            return sites_.Replica(i, r).ExecuteBaseQuery(plan.base);
           },
           &counts, &round_cancel);
       rs.site_retries += counts.retries;
@@ -285,7 +236,7 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
           return b_i.status();
         }
         lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
+        st.lost_sites.push_back(sites_.primary(i).id());
         local_base[i] = Table();
         continue;
       }
@@ -348,8 +299,9 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
     CancellationToken round_cancel;
     SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
 
-    SKALLA_ASSIGN_OR_RETURN(const DataProvider* detail_probe,
-                            sites_[0].catalog().GetProvider(stage.op.detail_table));
+    SKALLA_ASSIGN_OR_RETURN(
+        const DataProvider* detail_probe,
+        probe_catalog.GetProvider(stage.op.detail_table));
     const Schema& detail_schema = *detail_probe->schema();
 
     // Bind the per-site aware-GR filters once against the upstream schema.
@@ -448,10 +400,10 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
       Stopwatch timer;
       SiteRoundCounts counts;
       Result<Table> attempt_result = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
+          options_, sites_.ReplicaIds(i), rs.label,
           [&](size_t r) {
-            return ReplicaSite(i, r).EvalGmdjRound(local_base[i], stage.op,
-                                                   eval_context);
+            return sites_.Replica(i, r).EvalGmdjRound(local_base[i],
+                                                      stage.op, eval_context);
           },
           &counts, &round_cancel);
       rs.site_retries += counts.retries;
@@ -462,7 +414,7 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
           return attempt_result.status();
         }
         lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
+        st.lost_sites.push_back(sites_.primary(i).id());
         local_base[i] = Table();
         continue;
       }

@@ -15,7 +15,6 @@
 #ifndef SKALLA_DIST_TREE_H_
 #define SKALLA_DIST_TREE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,8 +65,7 @@ struct CoordinatorTree {
 ///
 /// With coordinator_shards > 1, every tier's coordinator shards its merge
 /// structure; one merge pool is shared across all tiers. Sites evaluate
-/// sequentially (parallel_sites is ignored; the cost model already
-/// charges the per-level maximum); ship_block_rows does not apply.
+/// sequentially (the cost model already charges the per-level maximum).
 class TreeExecutor : public Executor {
  public:
   TreeExecutor(std::vector<Site> sites, CoordinatorTree tree,
@@ -87,13 +85,7 @@ class TreeExecutor : public Executor {
   const CoordinatorTree& tree() const { return tree_; }
 
  private:
-  // Site ids of partition i's evaluation chain: primary, then replicas.
-  std::vector<int> ReplicaIds(size_t i) const;
-  // Replica r of partition i (r == 0 is the primary).
-  Site& ReplicaSite(size_t i, size_t r);
-
-  std::vector<Site> sites_;
-  std::map<size_t, std::vector<Site>> replicas_;
+  SiteSet sites_;
   CoordinatorTree tree_;
   SimulatedNetwork network_;
   ExecutorOptions options_;

@@ -129,7 +129,7 @@ Result<std::map<std::string, PartitionInfo>> DecodePartitionStats(
           dist.max = v.AsDouble();
         }
         if (flags & 8) {
-          SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader.ReadVarint());
+          SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader.ReadCount());
           dist.histogram.reserve(static_cast<size_t>(len));
           for (uint64_t i = 0; i < len; ++i) {
             SKALLA_ASSIGN_OR_RETURN(uint64_t bucket, reader.ReadVarint());

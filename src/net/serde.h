@@ -58,6 +58,16 @@ class ByteReader {
     if (pos_ >= size_) return Status::IOError("truncated buffer");
     return data_[pos_++];
   }
+  /// Reads a varint element count that sizes an allocation. Every
+  /// element takes at least one byte, so a count larger than the bytes
+  /// left is a corrupt or hostile length: IOError, never a huge reserve.
+  Result<uint64_t> ReadCount() {
+    Result<uint64_t> count = ReadVarint();
+    if (count.ok() && *count > remaining()) {
+      return Status::IOError("element count exceeds the remaining bytes");
+    }
+    return count;
+  }
   /// Reads `n` raw bytes; the returned pointer aliases the buffer.
   Result<const uint8_t*> ReadBytes(size_t n) {
     if (n > size_ - pos_) return Status::IOError("truncated buffer");

@@ -298,7 +298,7 @@ void WriteBaseQuery(std::vector<uint8_t>* out, const BaseQuery& query) {
 Result<BaseQuery> ReadBaseQuery(ByteReader* reader) {
   BaseQuery query;
   SKALLA_ASSIGN_OR_RETURN(query.table, ReadString(reader));
-  SKALLA_ASSIGN_OR_RETURN(uint64_t num_columns, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t num_columns, reader->ReadCount());
   query.columns.reserve(num_columns);
   for (uint64_t i = 0; i < num_columns; ++i) {
     SKALLA_ASSIGN_OR_RETURN(std::string column, ReadString(reader));
@@ -327,11 +327,11 @@ void WriteGmdjOp(std::vector<uint8_t>* out, const GmdjOp& op) {
 Result<GmdjOp> ReadGmdjOp(ByteReader* reader) {
   GmdjOp op;
   SKALLA_ASSIGN_OR_RETURN(op.detail_table, ReadString(reader));
-  SKALLA_ASSIGN_OR_RETURN(uint64_t num_blocks, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t num_blocks, reader->ReadCount());
   op.blocks.reserve(num_blocks);
   for (uint64_t b = 0; b < num_blocks; ++b) {
     GmdjBlock block;
-    SKALLA_ASSIGN_OR_RETURN(uint64_t num_aggs, reader->ReadVarint());
+    SKALLA_ASSIGN_OR_RETURN(uint64_t num_aggs, reader->ReadCount());
     block.aggs.reserve(num_aggs);
     for (uint64_t a = 0; a < num_aggs; ++a) {
       AggSpec spec;
@@ -471,7 +471,7 @@ std::vector<uint8_t> EncodeCatalogResponse(
 Result<std::vector<CatalogEntry>> DecodeCatalogResponse(
     const std::vector<uint8_t>& payload) {
   ByteReader reader(payload.data(), payload.size());
-  SKALLA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadCount());
   std::vector<CatalogEntry> entries;
   entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

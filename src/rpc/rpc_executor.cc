@@ -1,12 +1,12 @@
 #include "rpc/rpc_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "dist/coordinator.h"
 #include "net/serde.h"
 #include "obs/obs.h"
 #include "rpc/plan_serde.h"
@@ -38,7 +38,7 @@ SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
 
 RpcExecutor::RpcExecutor(std::unique_ptr<Transport> transport,
                          ExecutorOptions options)
-    : transport_(std::move(transport)), options_(options) {}
+    : transport_(std::move(transport)), driver_(this, options) {}
 
 void RpcExecutor::AddReplica(size_t partition, size_t endpoint) {
   replica_endpoints_[partition].push_back(endpoint);
@@ -56,7 +56,7 @@ std::vector<size_t> RpcExecutor::ReplicaEndpoints(size_t i) const {
 bool RpcExecutor::TolerableLoss(size_t endpoint) const {
   if (endpoint >= num_sites()) return true;  // a replica: only matters
                                              // if failover reaches it
-  if (options_.on_site_loss == OnSiteLoss::kDegrade) return true;
+  if (driver_.options().on_site_loss == OnSiteLoss::kDegrade) return true;
   auto it = replica_endpoints_.find(endpoint);
   return it != replica_endpoints_.end() && !it->second.empty();
 }
@@ -141,9 +141,10 @@ Result<Frame> RpcExecutor::CallLocked(size_t i, MessageType type,
 
 Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
                                      const std::vector<uint8_t>& payload,
-                                     RoundCallStats* call_stats) {
-  SKALLA_TRACE_SPAN(span, "rpc.round", "rpc");
+                                     SiteCall* call, uint64_t trace_parent) {
+  SKALLA_TRACE_SPAN_UNDER(span, "rpc.round", "rpc", trace_parent);
   SKALLA_SPAN_ATTR(span, "site", static_cast<int64_t>(i));
+  (void)trace_parent;
   Stopwatch timer;
   // Coordinator clock just before the request leaves: remote span
   // timestamps are shifted so the site's earliest event aligns here.
@@ -152,7 +153,7 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
   (void)send_ts_us;
   uint64_t wire_delta = 0;
   Result<Frame> response = CallLocked(i, type, payload, &wire_delta);
-  if (call_stats != nullptr) call_stats->wire_bytes = wire_delta;
+  if (call != nullptr) call->wire_bytes = wire_delta;
   SKALLA_HISTOGRAM_RECORD("skalla.rpc.round_us",
                           timer.ElapsedSeconds() * 1e6);
   SKALLA_RETURN_NOT_OK(response.status());
@@ -162,12 +163,9 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
       // wire (a site-side NotFound surfaces as NotFound).
       return ReadStatusPayload(response->payload);
     case MessageType::kAck:
-      if (call_stats != nullptr) call_stats->table_bytes = 0;
       return Table();
     case MessageType::kTableResult:
-      if (call_stats != nullptr) {
-        call_stats->table_bytes = response->payload.size();
-      }
+      if (call != nullptr) call->table_bytes = response->payload.size();
       return ReadTable(response->payload.data(), response->payload.size());
     case MessageType::kRoundResult: {
       SKALLA_ASSIGN_OR_RETURN(RoundResult result,
@@ -187,10 +185,10 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
             StrCat("site ", result.profile.site_id));
       }
 #endif
-      if (call_stats != nullptr) {
-        call_stats->table_bytes = result.table_bytes;
-        call_stats->has_profile = true;
-        call_stats->profile = std::move(result.profile);
+      if (call != nullptr) {
+        call->table_bytes = result.table_bytes;
+        call->has_profile = true;
+        call->profile = ToSiteProfile(result.profile);
       }
       if (!result.has_table) return Table();
       return std::move(result.table);
@@ -202,11 +200,8 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
   }
 }
 
-Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
-                                   const QueryRun& run, ExecStats* stats) {
-  const size_t total_endpoints = transport_->num_sites();
+Status RpcExecutor::Prepare() {
   const size_t n = num_sites();
-  if (n == 0) return Status::InvalidArgument("executor has no sites");
   for (const auto& [partition, endpoints] : replica_endpoints_) {
     if (partition >= n) {
       return Status::InvalidArgument(
@@ -214,392 +209,162 @@ Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
                  n, " partitions exist"));
     }
     for (size_t endpoint : endpoints) {
-      if (endpoint < n || endpoint >= total_endpoints) {
+      if (endpoint < n || endpoint >= transport_->num_sites()) {
         return Status::InvalidArgument(
             StrCat("replica endpoint ", endpoint,
                    " must index a transport endpoint in [", n, ", ",
-                   total_endpoints, ")"));
+                   transport_->num_sites(), ")"));
       }
     }
   }
-  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
-    return Status::InvalidArgument(
-        "the final plan stage must synchronize at the coordinator");
-  }
-  if (plan.stages.empty() && !plan.sync_base) {
-    return Status::InvalidArgument(
-        "a plan without GMDJ stages must synchronize its base query");
-  }
-  for (const PlanStage& stage : plan.stages) {
-    if (!stage.site_base_filters.empty() &&
-        stage.site_base_filters.size() != n) {
-      return Status::InvalidArgument(
-          StrCat("stage has ", stage.site_base_filters.size(),
-                 " site filters for ", n, " sites"));
-    }
-  }
-  SKALLA_RETURN_NOT_OK(Connect());
+  return Connect();
+}
 
-  ExecStats local_stats;
-  ExecStats& st = stats == nullptr ? local_stats : *stats;
-  st.rounds.clear();
-
-  // Every span, instant, and metric below carries this query's id; the
-  // sites inherit it through the TraceContext each round request ships,
-  // and key their per-query round state on it (protocol v5).
-  const uint64_t query_id = ResolveQueryId(run);
-  obs::QueryIdScope query_scope(query_id);
-  st.query_id = query_id;
-  // Wire accounting accumulates per call rather than diffing the shared
-  // connection counters, so concurrent queries don't see each other's
-  // traffic.
-  uint64_t exec_wire = 0;
-
-  SKALLA_TRACE_SPAN(exec_span, "exec.plan", "executor");
-  SKALLA_SPAN_ATTR(exec_span, "sites", static_cast<uint64_t>(n));
-  SKALLA_SPAN_ATTR(exec_span, "stages",
-                   static_cast<uint64_t>(plan.stages.size()));
-  SKALLA_SPAN_ATTR(exec_span, "mode", "rpc");
-  SKALLA_COUNTER_ADD("skalla.exec.plans", 1);
-
-  // Reset every site's round state (and forward the columnar knob).
-  // Not routed through the retry loop: BeginPlan is not a site round,
-  // and it is idempotent anyway.
-  BeginPlanRequest begin;
-  begin.columnar_sites = options_.columnar_sites;
-  begin.eval_threads =
-      run.eval_threads > 0 ? run.eval_threads : options_.eval_threads;
-  begin.query_id = query_id;
-  begin.engine = options_.engine;
-  const std::vector<uint8_t> begin_payload = EncodeBeginPlanRequest(begin);
-  // An endpoint unreachable at BeginPlan is marked down instead of
-  // failing the query — when the retry -> failover -> degrade ladder
-  // can absorb the loss. Round attempts at a down endpoint first re-try
-  // BeginPlan (the site must not serve this plan with a stale round
-  // state), so an endpoint that comes back mid-query rejoins.
-  std::vector<Status> endpoint_down(total_endpoints, Status::OK());
-  {
-    // Broadcast to every endpoint, replicas included: a replica must be
-    // in the same per-plan state as its primary to take over a round.
-    for (size_t i = 0; i < total_endpoints; ++i) {
-      RoundCallStats begin_call;
-      Status begun =
-          CallRound(i, MessageType::kBeginPlan, begin_payload, &begin_call)
-              .status();
-      exec_wire += begin_call.wire_bytes;
-      if (begun.ok()) continue;
-      if (!TolerableLoss(i)) return begun;
-      endpoint_down[i] = std::move(begun);
-    }
+std::vector<int> RpcExecutor::ReplicaIds(size_t partition,
+                                         bool self_contained) const {
+  // A round consuming the site's carried-over local structure must stay
+  // on the primary: a replica process never built that structure.
+  if (!self_contained) return {static_cast<int>(partition)};
+  std::vector<int> ids;
+  for (size_t endpoint : ReplicaEndpoints(partition)) {
+    ids.push_back(static_cast<int>(endpoint));
   }
-  auto ensure_begun = [&](size_t endpoint) -> Status {
-    if (endpoint_down[endpoint].ok()) return Status::OK();
-    RoundCallStats begin_call;
-    Status begun =
-        CallRound(endpoint, MessageType::kBeginPlan, begin_payload,
-                  &begin_call)
-            .status();
-    exec_wire += begin_call.wire_bytes;
-    if (begun.ok()) {
-      endpoint_down[endpoint] = Status::OK();
-      return Status::OK();
-    }
-    return endpoint_down[endpoint];
-  };
+  return ids;
+}
+
+// Per-query state: the BeginPlan / EndPlan lifecycle of one Execute.
+class RpcExecutor::RpcQuery : public SiteLink::Query {
+ public:
+  RpcQuery(RpcExecutor* self, uint64_t query_id,
+           std::vector<uint8_t> begin_payload)
+      : self_(self),
+        query_id_(query_id),
+        begin_payload_(std::move(begin_payload)),
+        endpoint_down_(self->transport_->num_sites()) {}
+
   // Best-effort per-query state release at the sites on every exit path
   // (sites also cap and evict, so a lost coordinator leaks nothing).
-  // Excluded from this query's wire accounting: it runs after the stats
+  // Excluded from the query's wire accounting: it runs after the stats
   // are finalized.
-  struct EndPlanSender {
-    RpcExecutor* self;
-    uint64_t query_id;
-    const std::vector<Status>* endpoint_down;
-    ~EndPlanSender() {
-      const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id);
-      for (size_t i = 0; i < endpoint_down->size(); ++i) {
-        if (!(*endpoint_down)[i].ok()) continue;
-        (void)self->CallLocked(i, MessageType::kEndPlan, payload, nullptr);
-      }
+  ~RpcQuery() override {
+    const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id_);
+    for (size_t i = 0; i < endpoint_down_.size(); ++i) {
+      if (!endpoint_down_[i].ok()) continue;
+      (void)self_->CallLocked(i, MessageType::kEndPlan, payload, nullptr);
     }
-  } end_plan{this, query_id, &endpoint_down};
-  (void)end_plan;
-
-  Coordinator coordinator(plan.key_columns,
-                          ResolveCoordinatorShards(
-                              options_.coordinator_shards));
-  bool have_global = false;
-  const QueryDeadline deadline(options_, run);
-  // Partitions whose every replica is gone; only OnSiteLoss::kDegrade
-  // sets these — the query completes over the survivors and the loss is
-  // reported in st.lost_sites / RoundStats::sites_lost.
-  std::vector<uint8_t> lost(n, 0);
-  st.lost_sites.clear();
-  // The deadline each round request ships to the sites: the tighter of
-  // the per-round deadline and the remaining query budget, 0 = none.
-  auto shipped_deadline_ms = [&]() -> uint64_t {
-    uint64_t ms = options_.round_deadline_ms;
-    int64_t left = deadline.RemainingQueryMs();
-    if (left >= 0) {
-      uint64_t left_ms = left == 0 ? 1 : static_cast<uint64_t>(left);
-      ms = ms == 0 ? left_ms : std::min(ms, left_ms);
-    }
-    return ms;
-  };
-
-  // Schema inference chain, driven from the catalog schemas fetched at
-  // Connect (the coordinator holds no partitions of its own).
-  SKALLA_ASSIGN_OR_RETURN(SchemaPtr base_schema,
-                          TableSchema(plan.base.table));
-  SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
-                          plan.base.OutputSchema(*base_schema));
-
-  // ---- Base-values stage -------------------------------------------------
-  {
-    RoundStats rs;
-    rs.label = "base";
-    rs.synchronized = plan.sync_base;
-    SKALLA_TRACE_SPAN(round_span, "round:base", "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync", plan.sync_base ? "true" : "false");
-    Stopwatch wall;
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
-
-    BaseRoundRequest request;
-    request.query = plan.base;
-    request.ship_result = plan.sync_base;
-    request.deadline_ms = shipped_deadline_ms();
-    request.trace.query_id = query_id;
-    SKALLA_OBS_ONLY(if (round_span.armed()) {
-      request.trace.trace_id = query_id;
-      request.trace.parent_span_id = round_span.id();
-    });
-    std::vector<uint8_t> payload = EncodeBaseRoundRequest(request);
-
-    if (plan.sync_base) SKALLA_RETURN_NOT_OK(coordinator.InitBase(upstream));
-    for (size_t i = 0; i < n; ++i) {
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      RoundCallStats call;
-      const std::vector<size_t> endpoints = ReplicaEndpoints(i);
-      std::vector<int> ids;
-      for (size_t endpoint : endpoints) {
-        ids.push_back(static_cast<int>(endpoint));
-      }
-      Result<Table> fragment = ExecuteSiteRoundReplicated(
-          options_, ids, rs.label,
-          [&](size_t r) -> Result<Table> {
-            SKALLA_RETURN_NOT_OK(ensure_begun(endpoints[r]));
-            call = RoundCallStats();
-            Result<Table> attempt = CallRound(
-                endpoints[r], MessageType::kBaseRound, payload, &call);
-            rs.wire_bytes += call.wire_bytes;
-            exec_wire += call.wire_bytes;
-            return attempt;
-          },
-          &counts, &round_cancel);
-      rs.site_retries += counts.retries;
-      rs.site_failovers += counts.failovers;
-      if (!fragment.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            fragment.status().IsDeadlineExceeded()) {
-          return fragment.status();
-        }
-        lost[i] = 1;
-        st.lost_sites.push_back(static_cast<int>(i));
-        continue;
-      }
-      double elapsed = timer.ElapsedSeconds();
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      if (call.has_profile) {
-        rs.site_profiles.push_back(ToSiteProfile(call.profile));
-      }
-      if (plan.sync_base) {
-        rs.bytes_to_coord += call.table_bytes;
-        rs.tuples_to_coord += fragment->num_rows();
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeBaseFragment(*fragment));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-      }
-    }
-    if (plan.sync_base) {
-      Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.FinalizeBase());
-      rs.coord_time += finalize_timer.ElapsedSeconds();
-      have_global = true;
-    }
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-    rs.wall_time = wall.ElapsedSeconds();
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
   }
 
-  // ---- GMDJ stages ---------------------------------------------------------
-  for (size_t k = 0; k < plan.stages.size(); ++k) {
-    const PlanStage& stage = plan.stages[k];
-    RoundStats rs;
-    rs.label = StrCat("md", k + 1);
-    rs.synchronized = stage.sync_after;
-    SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync", stage.sync_after ? "true" : "false");
-    Stopwatch wall;
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
+  // Resets every endpoint's round state for this query. Broadcast to
+  // replicas too: a replica must be in the same per-plan state as its
+  // primary to take over a round. Not routed through the retry loop:
+  // BeginPlan is not a site round, and it is idempotent anyway. An
+  // endpoint unreachable here is marked down instead of failing the
+  // query — when the retry -> failover -> degrade ladder can absorb the
+  // loss.
+  Status Begin() {
+    for (size_t i = 0; i < endpoint_down_.size(); ++i) {
+      Status begun = CallBegin(i);
+      if (begun.ok()) continue;
+      if (!self_->TolerableLoss(i)) {
+        // Endpoints from i on never began this query: no EndPlan either.
+        std::fill(endpoint_down_.begin() + i, endpoint_down_.end(), begun);
+        return begun;
+      }
+      endpoint_down_[i] = std::move(begun);
+    }
+    return Status::OK();
+  }
 
-    SKALLA_ASSIGN_OR_RETURN(SchemaPtr detail_schema,
-                            TableSchema(stage.op.detail_table));
-
+  Result<Table> Run(const RoundSpec& spec, size_t partition, size_t replica,
+                    const std::vector<uint8_t>& base, const Table& carried,
+                    SiteCall* call) override {
+    (void)carried;  // the site process keeps its own
+    const size_t endpoint =
+        replica == 0 ? partition
+                     : self_->replica_endpoints_.at(partition)[replica - 1];
+    SKALLA_RETURN_NOT_OK(EnsureBegun(endpoint));
+    TraceContext trace;
+    trace.query_id = query_id_;
+    if (spec.trace_parent != 0) {
+      trace.trace_id = query_id_;
+      trace.parent_span_id = spec.trace_parent;
+    }
+    if (spec.base != nullptr) {
+      BaseRoundRequest request;
+      request.query = *spec.base;
+      request.ship_result = spec.ship_result;
+      request.deadline_ms = spec.deadline_ms;
+      request.trace = trace;
+      return self_->CallRound(endpoint, MessageType::kBaseRound,
+                              EncodeBaseRoundRequest(request), call,
+                              spec.trace_parent);
+    }
     GmdjRoundRequest request;
-    request.op = stage.op;
-    request.label = rs.label;
-    request.sub_aggregates = stage.sync_after;
-    request.apply_rng = stage.sync_after && stage.indep_group_reduction;
-    request.ship_result = stage.sync_after;
-    request.deadline_ms = shipped_deadline_ms();
-    request.trace.query_id = query_id;
-    SKALLA_OBS_ONLY(if (round_span.armed()) {
-      request.trace.trace_id = query_id;
-      request.trace.parent_span_id = round_span.id();
-    });
-
-    // Distribution: with a global structure, each site gets its
-    // (possibly reduction-filtered) copy inside the round request; a
-    // site whose filtered structure is empty sits a synchronized round
-    // out entirely, exactly like DistributedExecutor.
-    std::vector<uint8_t> active(n, 1);
-    std::vector<std::vector<uint8_t>> payloads(n);
-    if (have_global) {
-      request.has_base = true;
-      const Table& x = coordinator.result();
-      for (size_t i = 0; i < n; ++i) {
-        if (lost[i]) continue;
-        const ExprPtr& filter = stage.site_base_filters.empty()
-                                    ? nullptr
-                                    : stage.site_base_filters[i];
-        Table to_send;
-        {
-          Stopwatch coord_timer;
-          if (filter != nullptr) {
-            SKALLA_ASSIGN_OR_RETURN(to_send, FilterBaseRows(x, filter));
-          } else {
-            to_send = x;
-          }
-          rs.coord_time += coord_timer.ElapsedSeconds();
-        }
-        if (filter != nullptr && to_send.empty() && stage.sync_after) {
-          active[i] = 0;
-          ++rs.sites_skipped;
-          continue;
-        }
-        std::vector<uint8_t> base_bytes;
-        WriteTable(to_send, &base_bytes);
-        rs.bytes_to_sites += base_bytes.size();
-        rs.tuples_to_sites += to_send.num_rows();
-        payloads[i] = EncodeGmdjRoundRequest(request, base_bytes);
-      }
-    } else {
-      request.has_base = false;
-      std::vector<uint8_t> shared = EncodeGmdjRoundRequest(request, {});
-      for (size_t i = 0; i < n; ++i) payloads[i] = shared;
-    }
-
-    // Site evaluation (and, for synchronized stages, fragment return).
-    // A round that carries the base structure in the request is
-    // self-contained and may fail over to a replica endpoint; a round
-    // consuming the site's carried-over local structure must stay on
-    // the primary (the replica process never built that structure).
-    std::vector<Table> outputs(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i] || lost[i]) continue;
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      RoundCallStats call;
-      std::vector<size_t> endpoints =
-          request.has_base ? ReplicaEndpoints(i) : std::vector<size_t>{i};
-      std::vector<int> ids;
-      for (size_t endpoint : endpoints) {
-        ids.push_back(static_cast<int>(endpoint));
-      }
-      Result<Table> fragment = ExecuteSiteRoundReplicated(
-          options_, ids, rs.label,
-          [&](size_t r) -> Result<Table> {
-            SKALLA_RETURN_NOT_OK(ensure_begun(endpoints[r]));
-            call = RoundCallStats();
-            Result<Table> attempt = CallRound(
-                endpoints[r], MessageType::kGmdjRound, payloads[i], &call);
-            rs.wire_bytes += call.wire_bytes;
-            exec_wire += call.wire_bytes;
-            return attempt;
-          },
-          &counts, &round_cancel);
-      rs.site_retries += counts.retries;
-      rs.site_failovers += counts.failovers;
-      if (!fragment.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            fragment.status().IsDeadlineExceeded()) {
-          return fragment.status();
-        }
-        lost[i] = 1;
-        st.lost_sites.push_back(static_cast<int>(i));
-        continue;
-      }
-      double elapsed = timer.ElapsedSeconds();
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      if (call.has_profile) {
-        st.engines_used |= call.profile.engines_used;
-        rs.site_profiles.push_back(ToSiteProfile(call.profile));
-      }
-      if (stage.sync_after) {
-        rs.bytes_to_coord += call.table_bytes;
-        rs.tuples_to_coord += fragment->num_rows();
-        outputs[i] = std::move(*fragment);
-      }
-    }
-
-    if (stage.sync_after) {
-      Stopwatch begin_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.BeginRound(
-          stage.op, *upstream, *detail_schema,
-          /*from_scratch=*/!have_global));
-      rs.coord_time += begin_timer.ElapsedSeconds();
-      for (size_t i = 0; i < n; ++i) {
-        if (!active[i] || lost[i]) continue;
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeFragment(outputs[i]));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-        outputs[i] = Table();
-      }
-      Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.FinalizeRound());
-      rs.coord_time += finalize_timer.ElapsedSeconds();
-      have_global = true;
-    } else {
-      // Outputs stay at the sites (their carried-over structures).
-      have_global = false;
-    }
-
-    SKALLA_ASSIGN_OR_RETURN(upstream,
-                            stage.op.OutputSchema(*upstream, *detail_schema));
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-    rs.wall_time = wall.ElapsedSeconds();
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_sites", rs.bytes_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_sites", rs.tuples_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
+    request.op = spec.stage->op;
+    request.label = spec.label;
+    request.sub_aggregates = spec.context.sub_aggregates;
+    request.apply_rng = spec.context.compute_rng;
+    request.ship_result = spec.ship_result;
+    request.has_base = spec.has_base;
+    request.deadline_ms = spec.deadline_ms;
+    request.trace = trace;
+    return self_->CallRound(endpoint, MessageType::kGmdjRound,
+                            EncodeGmdjRoundRequest(request, base), call,
+                            spec.trace_parent);
   }
 
-  if (!have_global) {
-    return Status::Internal("plan finished without a global result");
+  uint64_t setup_wire_bytes() const override { return setup_wire_.load(); }
+
+ private:
+  Status CallBegin(size_t endpoint) {
+    SiteCall begin_call;
+    Status begun = self_->CallRound(endpoint, MessageType::kBeginPlan,
+                                    begin_payload_, &begin_call)
+                       .status();
+    setup_wire_ += begin_call.wire_bytes;
+    return begun;
   }
-  std::sort(st.lost_sites.begin(), st.lost_sites.end());
-  st.total_wire_bytes = exec_wire;
-  uint64_t round_wire = 0;
-  for (const RoundStats& rs : st.rounds) round_wire += rs.wire_bytes;
-  st.setup_wire_bytes = st.total_wire_bytes - round_wire;
-  return coordinator.result();
+
+  // A round attempt at an endpoint that was down at BeginPlan first
+  // re-tries BeginPlan (the site must not serve this plan with a stale
+  // round state), so an endpoint that comes back mid-query rejoins.
+  Status EnsureBegun(size_t endpoint) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (endpoint_down_[endpoint].ok()) return Status::OK();
+    }
+    Status begun = CallBegin(endpoint);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (begun.ok()) endpoint_down_[endpoint] = Status::OK();
+    return endpoint_down_[endpoint];
+  }
+
+  RpcExecutor* self_;
+  const uint64_t query_id_;
+  const std::vector<uint8_t> begin_payload_;
+  std::mutex mu_;
+  std::vector<Status> endpoint_down_;  // guarded by mu_ once rounds run
+  std::atomic<uint64_t> setup_wire_{0};
+};
+
+Result<std::unique_ptr<SiteLink::Query>> RpcExecutor::BeginQuery(
+    const QueryRun& run, uint64_t query_id) {
+  const ExecutorOptions& options = driver_.options();
+  BeginPlanRequest begin;
+  begin.columnar_sites = options.columnar_sites;
+  begin.eval_threads =
+      run.eval_threads > 0 ? run.eval_threads : options.eval_threads;
+  begin.query_id = query_id;
+  begin.engine = options.engine;
+  auto query = std::make_unique<RpcQuery>(this, query_id,
+                                          EncodeBeginPlanRequest(begin));
+  SKALLA_RETURN_NOT_OK(query->Begin());
+  return std::unique_ptr<Query>(std::move(query));
+}
+
+Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
+                                   const QueryRun& run, ExecStats* stats) {
+  return driver_.Execute(plan, run, stats);
 }
 
 Result<StatsResult> RpcExecutor::SiteStats(size_t endpoint) {

@@ -1,8 +1,11 @@
 // RpcExecutor: the coordinator side of the distributed runtime when
-// sites are real processes. Implements skalla::Executor against a
-// Transport (in-process services or TCP-connected skalla-site
-// processes), driving the same DistributedPlan round structure as
-// DistributedExecutor and filling the same ExecStats contract.
+// sites are real processes. A thin shell around the RoundDriver
+// (dist/round_driver.h): the executor is the rpc SiteLink — each site
+// round is one frame exchange over a Transport (in-process services or
+// TCP-connected skalla-site processes), and the driver runs the same
+// round structure, fault ladder and ExecStats contract as for the
+// in-process star. Sites are dispatched concurrently; each exchange holds
+// only its own connection's lock.
 //
 // Accounting semantics (docs/RPC.md): bytes_to_sites / bytes_to_coord
 // count table payload bytes only, exactly as the simulated engines do,
@@ -25,6 +28,7 @@
 
 #include "common/result.h"
 #include "dist/executor.h"
+#include "dist/round_driver.h"
 #include "rpc/plan_serde.h"
 #include "rpc/transport.h"
 #include "types/schema.h"
@@ -32,26 +36,13 @@
 namespace skalla {
 namespace rpc {
 
-/// What one CallRound observed: the accounted table payload bytes, the
-/// framed wire bytes the call moved (all attempts' frames, headers and
-/// CRCs included), and the site's RoundProfile when the response was a
-/// kRoundResult.
-struct RoundCallStats {
-  uint64_t table_bytes = 0;
-  uint64_t wire_bytes = 0;
-  bool has_profile = false;
-  RoundProfile profile;
-};
-
-class RpcExecutor : public Executor {
+class RpcExecutor : public Executor, private SiteLink {
  public:
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
-  /// retry reconnects with backoff); columnar_sites is forwarded to the
-  /// sites via kBeginPlan; ship_block_rows is ignored (fragments ship
-  /// whole, like AsyncExecutor); parallel_sites/num_threads are ignored
-  /// (rounds are driven sequentially per site); coordinator_shards works
-  /// unchanged.
+  /// retry reconnects with backoff); columnar_sites, engine and
+  /// eval_threads are forwarded to the sites via kBeginPlan;
+  /// coordinator_shards works unchanged.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog
@@ -100,23 +91,34 @@ class RpcExecutor : public Executor {
   uint64_t wire_bytes() const;
 
   /// Schema of a site-resident table, once connected.
-  Result<SchemaPtr> TableSchema(const std::string& name) const;
+  Result<SchemaPtr> TableSchema(const std::string& name) const override;
 
   /// Pulls one endpoint's metrics snapshot (kGetStats): the site
   /// process's MetricsRegistry as JSON, plus its site id.
   Result<StatsResult> SiteStats(size_t endpoint);
 
  private:
+  class RpcQuery;
+
+  // SiteLink.
+  size_t num_partitions() const override { return num_sites(); }
+  Status Prepare() override;
+  std::vector<int> ReplicaIds(size_t partition,
+                              bool self_contained) const override;
+  Result<std::unique_ptr<Query>> BeginQuery(const QueryRun& run,
+                                            uint64_t query_id) override;
+
   /// One request/response against site `i`, translating the response:
   /// kRoundResult decodes to the table plus the site's RoundProfile
   /// (remote spans are merged into the coordinator tracer, parented
-  /// under this call's rpc.round span); kTableResult / kAck are the
-  /// pre-v4 shapes; kError decodes back to the site's original Status.
-  /// `call_stats` (may be nullptr) receives per-call accounting even
-  /// when the call fails.
+  /// under this call's rpc.round span, itself parented under
+  /// `trace_parent` when non-zero); kTableResult / kAck are the pre-v4
+  /// shapes; kError decodes back to the site's original Status. `call`
+  /// (may be nullptr) receives per-call accounting even when the call
+  /// fails.
   Result<Table> CallRound(size_t i, MessageType type,
-                          const std::vector<uint8_t>& payload,
-                          RoundCallStats* call_stats);
+                          const std::vector<uint8_t>& payload, SiteCall* call,
+                          uint64_t trace_parent = 0);
 
   /// One Call against endpoint `i` under its connection lock; the wire
   /// delta the call moved lands in *wire_delta (exact even when other
@@ -139,7 +141,6 @@ class RpcExecutor : public Executor {
   bool TolerableLoss(size_t endpoint) const;
 
   std::unique_ptr<Transport> transport_;
-  ExecutorOptions options_;
   std::vector<std::unique_ptr<Connection>> connections_;
   // One lock per connection: Connection::Call is single-caller by
   // contract, so every exchange (and its wire-byte measurement) runs
@@ -148,6 +149,7 @@ class RpcExecutor : public Executor {
   std::mutex connect_mu_;  // guards lazy init of connections_/schemas_
   std::map<size_t, std::vector<size_t>> replica_endpoints_;
   std::map<std::string, SchemaPtr> schemas_;
+  RoundDriver driver_;
 };
 
 }  // namespace rpc

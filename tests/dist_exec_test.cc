@@ -237,22 +237,6 @@ TEST(DistExecTest, Theorem2TransferBound) {
   }
 }
 
-TEST(DistExecTest, ParallelSitesMatchesSequential) {
-  Table flow = MakeFlowTable(23, 500, 16, 4);
-  ExecutorOptions par;
-  par.parallel_sites = true;
-  DistributedWarehouse seq_dw(4);
-  DistributedWarehouse par_dw(4, NetworkConfig{}, par);
-  seq_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
-  par_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
-
-  GmdjExpr expr = Example1Expr();
-  Table seq = seq_dw.Execute(expr, OptimizerOptions::All()).ValueOrDie();
-  Table par_result =
-      par_dw.Execute(expr, OptimizerOptions::All()).ValueOrDie();
-  EXPECT_TRUE(seq.SameRows(par_result));
-}
-
 TEST(DistExecTest, ConstantPredicatePruningSkipsSites) {
   // Detail partitioned by `region`; the query's second condition pins
   // region = 2, so distribution-aware analysis proves every other site
@@ -292,34 +276,6 @@ TEST(DistExecTest, ConstantPredicatePruningSkipsSites) {
   // Stage round is rounds[1]; three of four sites skipped.
   ASSERT_EQ(stats.rounds.size(), 2u);
   EXPECT_EQ(stats.rounds[1].sites_skipped, 3u);
-}
-
-TEST(DistExecTest, RowBlockingPreservesResultsAndTuples) {
-  Table flow = MakeFlowTable(37, 400, 10, 4);
-  ExecutorOptions blocked;
-  blocked.ship_block_rows = 7;
-  DistributedWarehouse plain_dw(4);
-  DistributedWarehouse blocked_dw(4, NetworkConfig{}, blocked);
-  plain_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
-  blocked_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"})
-      .Check();
-
-  GmdjExpr expr = Example1Expr();
-  ExecStats plain_stats;
-  ExecStats blocked_stats;
-  Table plain =
-      plain_dw.Execute(expr, OptimizerOptions::None(), &plain_stats)
-          .ValueOrDie();
-  Table blocked_result =
-      blocked_dw.Execute(expr, OptimizerOptions::None(), &blocked_stats)
-          .ValueOrDie();
-  EXPECT_TRUE(plain.SameRows(blocked_result));
-  // Same tuples travel; blocking adds per-block header bytes and
-  // per-message latency.
-  EXPECT_EQ(plain_stats.TotalTuplesTransferred(),
-            blocked_stats.TotalTuplesTransferred());
-  EXPECT_GT(blocked_stats.TotalBytes(), plain_stats.TotalBytes());
-  EXPECT_GT(blocked_stats.TotalCommTime(), plain_stats.TotalCommTime());
 }
 
 TEST(DistExecTest, EmptyPartitionSitesAreHarmless) {

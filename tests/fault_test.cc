@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "common/random.h"
 #include "core/cancellation.h"
 #include "core/local_eval.h"
-#include "dist/async_exec.h"
 #include "dist/exec.h"
 #include "dist/tree.h"
 #include "dist/warehouse.h"
@@ -22,6 +22,7 @@
 #include "rpc/rpc_executor.h"
 #include "rpc/transport.h"
 #include "storage/partition.h"
+#include "types/row.h"
 
 namespace skalla {
 namespace {
@@ -119,69 +120,6 @@ TEST(FaultTest, RecoveryWorksUnderAllOptimizations) {
                                OptimizerOptions::All())
                      .ValueOrDie();
   EXPECT_TRUE(result.SameRows(expected));
-}
-
-// Same scenario through the AsyncExecutor: plans built by the warehouse,
-// sites constructed directly so the executor choice is explicit.
-Result<Table> RunAsyncWithFaults(const Table& flow, FaultInjector* injector,
-                                 size_t retries, ExecStats* stats,
-                                 const OptimizerOptions& opts) {
-  const size_t kSites = 4;
-  DistributedWarehouse dw(kSites);
-  Status s = dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"});
-  if (!s.ok()) return s;
-  SKALLA_ASSIGN_OR_RETURN(DistributedPlan plan, dw.Plan(SimpleQuery(), opts));
-  SKALLA_ASSIGN_OR_RETURN(std::vector<Table> parts,
-                          PartitionByValue(flow, "SAS", kSites));
-  std::vector<Site> sites;
-  for (size_t i = 0; i < kSites; ++i) {
-    Catalog catalog;
-    catalog.Register("flow", parts[i]);
-    sites.emplace_back(static_cast<int>(i), std::move(catalog));
-  }
-  ExecutorOptions exec_options;
-  exec_options.fault_injector = injector;
-  exec_options.max_site_retries = retries;
-  AsyncExecutor executor(std::move(sites), NetworkConfig{}, exec_options);
-  return executor.Execute(plan, stats);
-}
-
-TEST(FaultTest, AsyncTransientFailuresRecoverWithRetry) {
-  Table flow = MakeFlow(600);
-  DistributedWarehouse reference_dw(4);
-  reference_dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"}).Check();
-  Table expected =
-      reference_dw.ExecuteCentralized(SimpleQuery()).ValueOrDie();
-
-  TransientFaultInjector injector(/*failures=*/1);
-  ExecStats stats;
-  Table result = RunAsyncWithFaults(flow, &injector, /*retries=*/2, &stats,
-                                    OptimizerOptions::None())
-                     .ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
-  EXPECT_GT(injector.injected(), 0);
-  size_t total_retries = 0;
-  for (const RoundStats& r : stats.rounds) total_retries += r.site_retries;
-  // Every (site, round) pair failed once: 4 sites x 3 rounds.
-  EXPECT_EQ(total_retries, 12u);
-}
-
-TEST(FaultTest, AsyncExhaustedRetriesSurfaceTheFailure) {
-  Table flow = MakeFlow(200);
-  TransientFaultInjector injector(/*failures=*/3);
-  auto result = RunAsyncWithFaults(flow, &injector, /*retries=*/1, nullptr,
-                                   OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsIOError());
-}
-
-TEST(FaultTest, AsyncPermanentSiteFailureAborts) {
-  Table flow = MakeFlow(200);
-  PermanentSiteFailure injector(/*site=*/2);
-  auto result = RunAsyncWithFaults(flow, &injector, /*retries=*/5, nullptr,
-                                   OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
 }
 
 // Same scenario through the TreeExecutor: the retry loop is the shared
@@ -327,12 +265,6 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                 OptimizerOptions::None())
       .ValueOrDie();
 
-  TransientFaultInjector async_injector(/*failures=*/1);
-  ExecStats async_stats;
-  RunAsyncWithFaults(flow, &async_injector, /*retries=*/2, &async_stats,
-                     OptimizerOptions::None())
-      .ValueOrDie();
-
   TransientFaultInjector tree_injector(/*failures=*/1);
   ExecStats tree_stats;
   RunTreeWithFaults(flow, &tree_injector, /*retries=*/2, &tree_stats,
@@ -345,22 +277,17 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                    OptimizerOptions::None())
       .ValueOrDie();
 
-  ASSERT_EQ(dist_stats.rounds.size(), async_stats.rounds.size());
   ASSERT_EQ(dist_stats.rounds.size(), tree_stats.rounds.size());
   ASSERT_EQ(dist_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < dist_stats.rounds.size(); ++r) {
     SCOPED_TRACE(dist_stats.rounds[r].label);
-    EXPECT_EQ(async_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(tree_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(rpc_stats.rounds[r].label, dist_stats.rounds[r].label);
-    EXPECT_EQ(async_stats.rounds[r].site_retries,
-              dist_stats.rounds[r].site_retries);
     EXPECT_EQ(tree_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
     EXPECT_EQ(rpc_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
   }
-  EXPECT_EQ(dist_injector.injected(), async_injector.injected());
   EXPECT_EQ(dist_injector.injected(), tree_injector.injected());
   EXPECT_EQ(dist_injector.injected(), rpc_injector.injected());
 }
@@ -437,16 +364,29 @@ TEST(FailoverTest, StarFailsOverToReplicaOnPermanentLoss) {
   EXPECT_TRUE(stats.lost_sites.empty());
 }
 
-TEST(FailoverTest, AsyncFailsOverToReplicaOnPermanentLoss) {
+TEST(FailoverTest, StarFailoverIsByteIdenticalToCleanRun) {
+  // A failed-over round runs at a replica holding the same partition, and
+  // fragments merge in site order: row order and bytes match a run
+  // without faults.
   Table flow = MakeFlow(600);
+  TestFleet clean_fleet =
+      MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
+  DistributedExecutor clean(std::move(clean_fleet.sites));
+  ExecStats clean_stats;
+  Table expected = clean.Execute(clean_fleet.plan, &clean_stats).ValueOrDie();
+
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   PermanentSiteFailure injector(/*site=*/2);
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                         FaultOptions(&injector, /*retries=*/1));
+  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
+                               FaultOptions(&injector, /*retries=*/1));
   executor.AddReplica(2, MakeReplica(fleet, 2));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(fleet.expected));
+  ASSERT_EQ(result.num_rows(), expected.num_rows());
+  for (size_t r = 0; r < result.num_rows(); ++r) {
+    EXPECT_TRUE(RowEquals(result.row(r), expected.row(r))) << "row " << r;
+  }
+  EXPECT_EQ(stats.TotalBytes(), clean_stats.TotalBytes());
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
   EXPECT_TRUE(stats.complete());
 }
@@ -578,19 +518,22 @@ TEST(DegradeTest, DegradePrefersReplicaWhenOneExists) {
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
 }
 
-TEST(DegradeTest, AsyncDegradeCompletesOverSurvivors) {
+TEST(DegradeTest, StarDegradeOfSiteZeroCompletesOverSurvivors) {
+  // Site 0 runs on the coordinator's own thread while the others run on
+  // the pool; losing it must degrade exactly like losing any other site.
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  Table expected = DegradedExpected(fleet, 2);
-  PermanentSiteFailure injector(/*site=*/2);
+  Table expected = DegradedExpected(fleet, 0);
+  PermanentSiteFailure injector(/*site=*/0);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{}, options);
+  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
+                               options);
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(result.SameRows(expected));
   ASSERT_EQ(stats.lost_sites.size(), 1u);
-  EXPECT_EQ(stats.lost_sites[0], 2);
+  EXPECT_EQ(stats.lost_sites[0], 0);
 }
 
 TEST(DegradeTest, TreeDegradeCompletesOverSurvivors) {
@@ -653,19 +596,6 @@ TEST(DeadlineTest, StarQueryDeadlineSurfacesTyped) {
   options.query_deadline_ms = 1;
   DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
                                options);
-  auto result = executor.Execute(fleet.plan, nullptr);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-}
-
-TEST(DeadlineTest, AsyncQueryDeadlineSurfacesTyped) {
-  Table flow = MakeFlow(400);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  DelayInjector injector(/*ms=*/5);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
-  options.query_deadline_ms = 1;
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{}, options);
   auto result = executor.Execute(fleet.plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
@@ -788,8 +718,7 @@ class AfterRoundInjector : public FaultInjector {
                         const Status& status) override {
     ++calls_;
     if (!status.ok()) statuses_seen_not_ok_ = true;
-    if (site == site_ && round == round_ && !fired_) {
-      fired_ = true;
+    if (site == site_ && round == round_ && !fired_.exchange(true)) {
       return Status::IOError("injected: response lost after evaluation");
     }
     return Status::OK();
@@ -799,11 +728,12 @@ class AfterRoundInjector : public FaultInjector {
   bool saw_non_ok() const { return statuses_seen_not_ok_; }
 
  private:
+  // Atomic: the executors call injectors from concurrent site tasks.
   int site_;
   std::string round_;
-  int calls_ = 0;
-  bool fired_ = false;
-  bool statuses_seen_not_ok_ = false;
+  std::atomic<int> calls_{0};
+  std::atomic<bool> fired_{false};
+  std::atomic<bool> statuses_seen_not_ok_{false};
 };
 
 TEST(FaultInjectorTest, AfterSiteRoundFaultRecoversWithRetry) {

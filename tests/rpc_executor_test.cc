@@ -13,7 +13,6 @@
 
 #include "data/flow_gen.h"
 #include "data/tpcr_gen.h"
-#include "dist/async_exec.h"
 #include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
@@ -315,7 +314,7 @@ TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
 }
 
 TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
-  // The same plan through star, async, and rpc engines must agree on the
+  // The same plan through the star and rpc engines must agree on the
   // reconciliation-relevant profile columns (bytes shipped per site,
   // result rows) — the engines differ only in transport.
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
@@ -326,36 +325,24 @@ TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
   ExecStats star_stats;
   ASSERT_TRUE(star.Execute(plan, &star_stats).ok());
 
-  AsyncExecutor async(MakeSites(), NetworkConfig{}, {});
-  ExecStats async_stats;
-  ASSERT_TRUE(async.Execute(plan, &async_stats).ok());
-
   RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()), {});
   ExecStats rpc_stats;
   ASSERT_TRUE(rpc.Execute(plan, &rpc_stats).ok());
 
   ASSERT_EQ(star_stats.rounds.size(), rpc_stats.rounds.size());
-  ASSERT_EQ(async_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < rpc_stats.rounds.size(); ++r) {
     SCOPED_TRACE(rpc_stats.rounds[r].label);
     const std::vector<SiteRoundProfile>& a =
         star_stats.rounds[r].site_profiles;
-    const std::vector<SiteRoundProfile>& b =
-        async_stats.rounds[r].site_profiles;
     const std::vector<SiteRoundProfile>& c =
         rpc_stats.rounds[r].site_profiles;
     ASSERT_EQ(a.size(), c.size());
-    ASSERT_EQ(b.size(), c.size());
     for (size_t i = 0; i < c.size(); ++i) {
       SCOPED_TRACE(c[i].site_id);
       EXPECT_EQ(a[i].site_id, c[i].site_id);
-      EXPECT_EQ(b[i].site_id, c[i].site_id);
       EXPECT_EQ(a[i].bytes_in, c[i].bytes_in);
-      EXPECT_EQ(b[i].bytes_in, c[i].bytes_in);
       EXPECT_EQ(a[i].bytes_out, c[i].bytes_out);
-      EXPECT_EQ(b[i].bytes_out, c[i].bytes_out);
       EXPECT_EQ(a[i].result_rows, c[i].result_rows);
-      EXPECT_EQ(b[i].result_rows, c[i].result_rows);
     }
   }
 }

@@ -494,6 +494,47 @@ TEST(PlanSerdeTest, TruncatedPayloadsFailCleanly) {
   EXPECT_FALSE(DecodeHello({}).ok());
 }
 
+// A single hostile length must come back as IOError, not abort the site
+// with std::bad_alloc: every count that sizes an allocation is bounded by
+// the bytes left in the payload.
+TEST(PlanSerdeTest, HostileBaseQueryColumnCountIsIOError) {
+  std::vector<uint8_t> payload = {0x00,              // flags
+                                  0x00,              // deadline_ms
+                                  0x00, 0x00, 0x00,  // empty trace context
+                                  0x01, 't'};        // table "t"
+  PutVarint(&payload, uint64_t{1} << 40);            // num_columns
+  ASSERT_EQ(payload.size(), 13u);
+  Result<BaseRoundRequest> decoded = DecodeBaseRoundRequest(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
+}
+
+TEST(PlanSerdeTest, HostileGmdjOpCountsAreIOError) {
+  const std::vector<uint8_t> prefix = {0x00,              // flags
+                                       0x00,              // deadline_ms
+                                       0x00, 0x00, 0x00,  // trace context
+                                       0x00,              // label ""
+                                       0x01, 'd'};        // detail table "d"
+  std::vector<uint8_t> blocks = prefix;
+  PutVarint(&blocks, uint64_t{1} << 40);  // num_blocks
+  std::vector<uint8_t> aggs = prefix;
+  PutVarint(&aggs, 1);                    // num_blocks
+  PutVarint(&aggs, uint64_t{1} << 40);    // num_aggs
+  for (const std::vector<uint8_t>& payload : {blocks, aggs}) {
+    Result<GmdjRoundRequest> decoded = DecodeGmdjRoundRequest(payload);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
+  }
+}
+
+TEST(PlanSerdeTest, HostileCatalogEntryCountIsIOError) {
+  std::vector<uint8_t> payload;
+  PutVarint(&payload, uint64_t{1} << 40);  // entries
+  Result<std::vector<CatalogEntry>> decoded = DecodeCatalogResponse(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
+}
+
 }  // namespace
 }  // namespace rpc
 }  // namespace skalla

@@ -89,6 +89,10 @@ class Cluster {
  public:
   explicit Cluster(std::vector<Site> sites,
                    std::vector<int> drop_request_index = {}) {
+    // Serve() threads start while the loop still appends: no vector they
+    // index may reallocate.
+    servers_.reserve(sites.size());
+    serve_status_.reserve(sites.size());
     for (size_t i = 0; i < sites.size(); ++i) {
       services_.push_back(
           std::make_unique<SiteService>(std::move(sites[i])));

@@ -1,8 +1,8 @@
 // QueryScheduler determinism: the same batch of queries submitted
 // through a QuerySession at admission width 1 (strictly sequential) and
 // width 8 (everything in flight at once, sites shared) must resolve to
-// byte-identical per-query results, for every engine — star, async,
-// tree, and rpc over real loopback sockets. Also covers admission
+// byte-identical per-query results, row order included, for every
+// engine — star, tree, and rpc over real loopback sockets. Also covers admission
 // bookkeeping, cancellation, and queue-expired deadlines.
 
 #include "serve/scheduler.h"
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/async_exec.h"
 #include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
@@ -57,8 +56,7 @@ std::vector<Site> MakeSites(const std::vector<Table>& parts) {
   return sites;
 }
 
-std::vector<uint8_t> TableBytes(Table t) {
-  t.SortRows();  // canonical order: async merges in arrival order
+std::vector<uint8_t> TableBytes(const Table& t) {
   std::vector<uint8_t> bytes;
   WriteTable(t, &bytes);
   return bytes;
@@ -151,7 +149,7 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
         std::make_unique<rpc::SiteServer>(services.back().get(), options));
     servers.back()->Start().Check();
     server_threads.emplace_back(
-        [&servers, i] { (void)servers[i]->Serve(); });
+        [server = servers.back().get()] { (void)server->Serve(); });
   }
   std::vector<rpc::SiteEndpoint> endpoints;
   for (const auto& server : servers) {
@@ -162,10 +160,6 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
       {"star",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
          return std::make_unique<DistributedExecutor>(MakeSites(p));
-       }},
-      {"async",
-       [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         return std::make_unique<AsyncExecutor>(MakeSites(p));
        }},
       {"tree2",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
