@@ -37,6 +37,10 @@ struct CompiledBlock {
   CompiledPredicate pred;
   std::vector<AggPart> parts;
   std::vector<std::pair<size_t, size_t>> agg_part_ranges;
+  // Every detail column the block reads, ascending: the equality-atom
+  // columns, the predicate columns and the aggregate inputs. The chunked
+  // paths pin exactly these, so a paged relation loads only their pages.
+  std::vector<size_t> pin_cols;
 };
 
 enum class BlockPath : uint8_t {
@@ -82,6 +86,23 @@ Status CompileBlock(
       exec->parts.push_back(std::move(part));
     }
   }
+  // ref_cols lists every detail column a conjunct reads, including the
+  // typed kinds' `col` / `detail_col`.
+  std::vector<size_t>& cols = exec->pin_cols;
+  cols = exec->detail_cols;
+  for (const DetailConjunct& c : exec->pred.detail) {
+    cols.insert(cols.end(), c.ref_cols.begin(), c.ref_cols.end());
+  }
+  for (const CorrelatedConjunct& c : exec->pred.correlated) {
+    cols.insert(cols.end(), c.ref_cols.begin(), c.ref_cols.end());
+  }
+  for (const AggPart& part : exec->parts) {
+    if (part.input_col >= 0) {
+      cols.push_back(static_cast<size_t>(part.input_col));
+    }
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return Status::OK();
 }
 
@@ -540,7 +561,9 @@ Status EvalGroupedBlockChunked(const DataProvider& detail, BlockExec* exec,
                   kNoSlot);
       continue;
     }
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(
+        PinnedChunk pin,
+        PinForEval(detail, ci, exec->compiled.pin_cols, context));
     const Chunk& chunk = *pin;
     const size_t n = chunk.num_rows();
     const uint8_t* selp = nullptr;
@@ -668,7 +691,9 @@ Status EvalCandidatesBlockChunked(const Table& base,
         RecordPrunedChunk(context);
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+      SKALLA_ASSIGN_OR_RETURN(
+          PinnedChunk pin,
+          PinForEval(detail, ci, exec->compiled.pin_cols, context));
       const Chunk& chunk = *pin;
       const size_t row_base = detail.chunk_row_begin(ci);
       const uint8_t* selp = nullptr;
@@ -720,7 +745,9 @@ Status EvalCandidatesBlockChunked(const Table& base,
   for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
     if (!chunk_any[ci]) continue;
     if (cancel != nullptr) SKALLA_RETURN_NOT_OK(cancel->Check());
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(
+        PinnedChunk pin,
+        PinForEval(detail, ci, exec->compiled.pin_cols, context));
     const Chunk& chunk = *pin;
     const uint32_t chunk_lo =
         static_cast<uint32_t>(detail.chunk_row_begin(ci));
@@ -912,7 +939,9 @@ Status EvalScanBlockChunked(const Table& base, const DataProvider& detail,
         chunk_any[ci] = 0;
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+      SKALLA_ASSIGN_OR_RETURN(
+          PinnedChunk pin,
+          PinForEval(detail, ci, exec->compiled.pin_cols, context));
       const Chunk& chunk = *pin;
       EvalDetailSelection(pred, ColumnSource(chunk), &chunk_sel);
       uint8_t any = 0;
@@ -957,7 +986,9 @@ Status EvalScanBlockChunked(const Table& base, const DataProvider& detail,
         r = seg_hi;
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+      SKALLA_ASSIGN_OR_RETURN(
+          PinnedChunk pin,
+          PinForEval(detail, ci, exec->compiled.pin_cols, context));
       const Chunk& chunk = *pin;
       ColumnSource src(chunk);
       std::vector<const Column*> part_cols =

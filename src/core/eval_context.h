@@ -68,6 +68,12 @@ struct EvalProfile {
   std::atomic<uint64_t> morsel_us{0};
   /// Chunks skipped by min/max stat pruning (columnar chunked path).
   std::atomic<uint64_t> chunks_pruned{0};
+  /// Column pages the kernels pinned from a chunked detail relation, the
+  /// pages among them that missed the buffer pool, and the bytes those
+  /// misses loaded (ColumnPage::bytes).
+  std::atomic<uint64_t> pages_pinned{0};
+  std::atomic<uint64_t> pages_missed{0};
+  std::atomic<uint64_t> page_bytes_loaded{0};
   /// kEngineBit* OR of the kernels that actually evaluated operators.
   std::atomic<uint8_t> engines_used{0};
 };

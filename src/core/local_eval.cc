@@ -144,7 +144,7 @@ Status EvalIndexedBlockChunked(const Table& base, const DataProvider& detail,
   EvalProfile* profile = context.profile;
   for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
     if (cancel != nullptr) SKALLA_RETURN_NOT_OK(cancel->Check());
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, PinForEval(detail, ci, context));
     const Chunk& chunk = *pin;
     const uint32_t chunk_lo =
         static_cast<uint32_t>(detail.chunk_row_begin(ci));
@@ -236,15 +236,15 @@ void FoldMorsel(const Table& base, const Table& detail, const BlockPlan& plan,
 // the resulting partial is byte-identical to FoldMorsel's.
 Status FoldMorselChunked(const Table& base, const DataProvider& detail,
                          const BlockPlan& plan, const BlockState& meta,
-                         size_t lo, size_t hi, MorselPartial* partial,
-                         uint64_t* matched_pairs) {
+                         const EvalContext& context, size_t lo, size_t hi,
+                         MorselPartial* partial, uint64_t* matched_pairs) {
   const size_t n = meta.parts.size();
   const size_t num_base = base.num_rows();
   size_t r = lo;
   while (r < hi) {
     const size_t ci = detail.ChunkOfRow(r);
     const size_t chunk_lo = detail.chunk_row_begin(ci);
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, PinForEval(detail, ci, context));
     const Chunk& chunk = *pin;
     const size_t seg_hi = std::min(hi, chunk_lo + chunk.num_rows());
     for (; r < seg_hi; ++r) {
@@ -370,8 +370,9 @@ Status EvalNestedLoopBlockChunked(const Table& base,
       const size_t lo = m * morsel_rows;
       const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
       uint64_t matched_pairs = 0;
-      morsel_status[m] = FoldMorselChunked(base, detail, plan, *state, lo,
-                                           hi, &partial, &matched_pairs);
+      morsel_status[m] =
+          FoldMorselChunked(base, detail, plan, *state, context, lo, hi,
+                            &partial, &matched_pairs);
       if (!morsel_status[m].ok()) return;
       record(lo, hi, matched_pairs);
       MergePartial(partial, state, matched);
@@ -384,8 +385,9 @@ Status EvalNestedLoopBlockChunked(const Table& base,
       const size_t lo = m * morsel_rows;
       const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
       uint64_t matched_pairs = 0;
-      morsel_status[m] = FoldMorselChunked(base, detail, plan, *state, lo,
-                                           hi, &partials[m], &matched_pairs);
+      morsel_status[m] =
+          FoldMorselChunked(base, detail, plan, *state, context, lo, hi,
+                            &partials[m], &matched_pairs);
       if (!morsel_status[m].ok()) return;
       record(lo, hi, matched_pairs);
     });
@@ -608,8 +610,10 @@ Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
   // build and probe.
   std::map<IndexKey, HashIndex> index_cache;
   for (const IndexKey& key : compiled.index_keys) {
-    SKALLA_ASSIGN_OR_RETURN(index_cache[key],
-                            HashIndex::BuildChunked(detail, key.second));
+    PinCounts pins;
+    SKALLA_ASSIGN_OR_RETURN(
+        index_cache[key], HashIndex::BuildChunked(detail, key.second, &pins));
+    RecordPins(pins, context);
   }
 
   for (size_t bi = 0; bi < op.blocks.size(); ++bi) {

@@ -32,4 +32,28 @@ void RunMorsels(ThreadPool* pool, size_t n, const EvalContext& context,
   }
 }
 
+void RecordPins(const PinCounts& counts, const EvalContext& context) {
+  EvalProfile* profile = context.profile;
+  if (profile == nullptr) return;
+  profile->pages_pinned.fetch_add(counts.pages, std::memory_order_relaxed);
+  profile->pages_missed.fetch_add(counts.misses, std::memory_order_relaxed);
+  profile->page_bytes_loaded.fetch_add(counts.miss_bytes,
+                                       std::memory_order_relaxed);
+}
+
+Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
+                               const std::vector<size_t>& columns,
+                               const EvalContext& context) {
+  Result<PinnedChunk> pin = detail.Pin(chunk, columns);
+  if (pin.ok()) RecordPins(pin->counts(), context);
+  return pin;
+}
+
+Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
+                               const EvalContext& context) {
+  Result<PinnedChunk> pin = detail.Pin(chunk);
+  if (pin.ok()) RecordPins(pin->counts(), context);
+  return pin;
+}
+
 }  // namespace skalla

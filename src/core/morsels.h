@@ -4,7 +4,9 @@
 // in a site.eval.morsel span timed into skalla.site.morsel_us and
 // EvalContext::profile->morsel_us. Both kernels scheduling through one
 // runner is what keeps the per-morsel observability identical no matter
-// which engine evaluated a round.
+// which engine evaluated a round. The same goes for chunk pins: both
+// kernels pin through PinForEval, which charges the pin's page counts to
+// EvalContext::profile.
 
 #ifndef SKALLA_CORE_MORSELS_H_
 #define SKALLA_CORE_MORSELS_H_
@@ -12,8 +14,12 @@
 #include <cstddef>
 #include <functional>
 
+#include <vector>
+
+#include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/eval_context.h"
+#include "storage/data_provider.h"
 
 namespace skalla {
 
@@ -31,6 +37,19 @@ inline size_t MorselCount(size_t rows, size_t morsel_rows) {
 /// morsels stay attributable to the round that scheduled them.
 void RunMorsels(ThreadPool* pool, size_t n, const EvalContext& context,
                 const std::function<void(size_t)>& fn);
+
+/// Adds one pin's page counts to context.profile (when set).
+void RecordPins(const PinCounts& counts, const EvalContext& context);
+
+/// Pins `columns` of chunk `chunk` of `detail` (DataProvider::Pin) and
+/// records the pin's page counts.
+Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
+                               const std::vector<size_t>& columns,
+                               const EvalContext& context);
+
+/// Pins every column — the row oracle's boxed-row pin.
+Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
+                               const EvalContext& context);
 
 }  // namespace skalla
 

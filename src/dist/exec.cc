@@ -64,6 +64,12 @@ class DistributedExecutor::StarQuery : public SiteLink::Query {
       profile.index_hits = eval.index_hits.load(std::memory_order_relaxed);
       profile.engines_used =
           eval.engines_used.load(std::memory_order_relaxed);
+      profile.chunks_pruned =
+          eval.chunks_pruned.load(std::memory_order_relaxed);
+      profile.pages_pinned = eval.pages_pinned.load(std::memory_order_relaxed);
+      profile.pages_missed = eval.pages_missed.load(std::memory_order_relaxed);
+      profile.page_bytes_loaded =
+          eval.page_bytes_loaded.load(std::memory_order_relaxed);
     }
     SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us", timer.ElapsedMicros());
     call->has_profile = true;

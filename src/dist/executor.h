@@ -172,6 +172,13 @@ struct SiteRoundProfile {
   uint64_t result_rows = 0;
   uint64_t duplicate_rounds = 0;  // idempotency-cache replays (rpc only)
   uint64_t chaos_faults = 0;      // transport faults injected (rpc only)
+  /// Chunked storage: chunks skipped by stats-only pruning, column pages
+  /// the kernels pinned, pages that missed the site's buffer pool, and
+  /// the bytes those misses loaded (EvalProfile's page counts).
+  uint64_t chunks_pruned = 0;
+  uint64_t pages_pinned = 0;
+  uint64_t pages_missed = 0;
+  uint64_t page_bytes_loaded = 0;
   /// Engines the site's evaluation actually used this round
   /// (kEngineBitRow / kEngineBitColumnar OR-ed; see
   /// EvalProfile::engines_used).

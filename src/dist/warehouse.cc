@@ -1,9 +1,11 @@
 #include "dist/warehouse.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string_view>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -364,11 +366,23 @@ Result<WarehouseManifest> ReadWarehouseManifest(
     return Status::IOError("manifest missing site count");
   }
   WarehouseManifest manifest = std::move(parsed_header);
-  manifest.num_sites = static_cast<size_t>(
-      std::strtoull(line.c_str() + 6, nullptr, 10));
-  if (manifest.num_sites == 0) {
+  const std::string_view count = std::string_view(line).substr(6);
+  uint64_t num_sites = 0;
+  const auto [end, ec] =
+      std::from_chars(count.data(), count.data() + count.size(), num_sites);
+  if (count.empty() || ec != std::errc() ||
+      end != count.data() + count.size()) {
+    return Status::IOError(StrCat("bad manifest site count '", count, "'"));
+  }
+  if (num_sites == 0) {
     return Status::IOError("manifest has zero sites");
   }
+  if (num_sites > kMaxWarehouseSites) {
+    return Status::IOError(StrCat("manifest declares ", num_sites,
+                                  " sites; at most ", kMaxWarehouseSites,
+                                  " are supported"));
+  }
+  manifest.num_sites = static_cast<size_t>(num_sites);
   while (std::getline(in, line)) {
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty()) continue;

@@ -52,6 +52,13 @@ struct WarehouseManifest {
   std::vector<TableEntry> tables;
 };
 
+/// The most sites a MANIFEST may declare. Loading sizes per-site state
+/// from the count, so a larger one is rejected before anything is
+/// allocated.
+inline constexpr size_t kMaxWarehouseSites = size_t{1} << 16;
+
+/// Reads <directory>/MANIFEST. The site count must be a plain decimal
+/// number in [1, kMaxWarehouseSites]; anything else is an IOError.
 Result<WarehouseManifest> ReadWarehouseManifest(const std::string& directory);
 
 /// Path of one site's chunk file for `name` under a chunked warehouse

@@ -47,18 +47,23 @@ std::string SiteProfileLines(const RoundStats& r) {
   if (r.site_profiles.empty()) return out;
   out +=
       "              site    wall_ms    eval_ms  morsel_ms    scanned"
-      "    matched   idx_hits   bytes_in  bytes_out       rows\n";
+      "    matched   idx_hits   bytes_in  bytes_out       rows"
+      "     pruned      pages     missed  loaded_kb\n";
   for (const SiteRoundProfile& p : r.site_profiles) {
     out += StrPrintf(
         "              %4d  %9.3f  %9.3f  %9.3f  %9llu  %9llu  %9llu"
-        "  %9llu  %9llu  %9llu",
+        "  %9llu  %9llu  %9llu  %9llu  %9llu  %9llu  %9.1f",
         p.site_id, p.wall_us / 1e3, p.eval_us / 1e3, p.morsel_us / 1e3,
         static_cast<unsigned long long>(p.rows_scanned),
         static_cast<unsigned long long>(p.rows_matched),
         static_cast<unsigned long long>(p.index_hits),
         static_cast<unsigned long long>(p.bytes_in),
         static_cast<unsigned long long>(p.bytes_out),
-        static_cast<unsigned long long>(p.result_rows));
+        static_cast<unsigned long long>(p.result_rows),
+        static_cast<unsigned long long>(p.chunks_pruned),
+        static_cast<unsigned long long>(p.pages_pinned),
+        static_cast<unsigned long long>(p.pages_missed),
+        p.page_bytes_loaded / 1e3);
     if (p.engines_used != 0) {
       out += StrCat("  [", EngineSetToString(p.engines_used), "]");
     }

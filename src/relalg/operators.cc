@@ -136,24 +136,39 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider) const {
     SKALLA_ASSIGN_OR_RETURN(size_t idx, schema->RequireIndex(name));
     indices.push_back(idx);
   }
+  // Pin only the projected and `where` columns; the predicate evaluates
+  // over a full-width scratch row holding just those cells.
+  std::vector<size_t> pin_cols = indices;
+  if (bound != nullptr) {
+    std::vector<std::string> where_names;
+    bound->CollectColumns(ExprSide::kDetail, &where_names);
+    for (const std::string& name : where_names) {
+      SKALLA_ASSIGN_OR_RETURN(size_t idx, schema->RequireIndex(name));
+      pin_cols.push_back(idx);
+    }
+  }
+  std::sort(pin_cols.begin(), pin_cols.end());
+  pin_cols.erase(std::unique(pin_cols.begin(), pin_cols.end()),
+                 pin_cols.end());
+  Row scratch(schema->num_fields());
   Table out(schema->Project(indices));
   // First-occurrence dedup, identical to Distinct() but applied as rows
   // stream so the filtered/projected intermediate never materializes.
   std::unordered_map<uint64_t, std::vector<size_t>> seen;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, pin_cols));
     const Chunk& chunk = *pin;
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       Row row;
       if (bound == nullptr) {
-        // No predicate: box only the projected columns, never the whole
-        // row of a freshly loaded chunk.
         row.reserve(indices.size());
         for (size_t idx : indices) row.push_back(chunk.column(idx).GetValue(r));
       } else {
-        const Row& source_row = chunk.row(r);
-        if (!bound->EvalBool(nullptr, &source_row)) continue;
-        row = ProjectRow(source_row, indices);
+        for (size_t idx : pin_cols) {
+          scratch[idx] = chunk.column(idx).GetValue(r);
+        }
+        if (!bound->EvalBool(nullptr, &scratch)) continue;
+        row = ProjectRow(scratch, indices);
       }
       if (distinct) {
         uint64_t h = HashRow(row);

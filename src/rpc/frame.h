@@ -55,7 +55,10 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      query_id (the EvalContext::engine every GMDJ round of the plan
 //      runs under), and RoundProfile grows an engines_used varint after
 //      chaos_faults (which kernels the round's evaluation actually used)
-inline constexpr uint8_t kProtocolVersion = 6;
+//   7  paged storage accounting: RoundProfile grows chunks_pruned,
+//      pages_pinned, pages_missed and page_bytes_loaded varints after
+//      engines_used (the column pages the round's evaluation pinned)
+inline constexpr uint8_t kProtocolVersion = 7;
 inline constexpr size_t kFrameHeaderSize = 16;
 /// The largest payload a frame may announce (1 GiB). DecodeFrameHeader
 /// rejects a longer length before anything is allocated, so a corrupt

@@ -91,6 +91,13 @@ struct RoundProfile {
   /// kEngineBitColumnar OR-ed; zero for base rounds). Wire format:
   /// varint after chaos_faults (protocol version 6).
   uint8_t engines_used = 0;
+  /// Chunked-storage counts of the round's evaluation (EvalProfile):
+  /// chunks pruned, column pages pinned, pages missed, bytes loaded.
+  /// Wire format: four varints after engines_used (protocol version 7).
+  uint64_t chunks_pruned = 0;
+  uint64_t pages_pinned = 0;
+  uint64_t pages_missed = 0;
+  uint64_t page_bytes_loaded = 0;
   /// The site's span subtree for this round (empty when untraced). Span
   /// ids/parents are site-local; the coordinator remaps them on import.
   std::vector<obs::TraceEvent> spans;

@@ -30,6 +30,10 @@ SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
   sp.result_rows = p.result_rows;
   sp.duplicate_rounds = p.duplicate_rounds;
   sp.chaos_faults = p.chaos_faults;
+  sp.chunks_pruned = p.chunks_pruned;
+  sp.pages_pinned = p.pages_pinned;
+  sp.pages_missed = p.pages_missed;
+  sp.page_bytes_loaded = p.page_bytes_loaded;
   sp.engines_used = p.engines_used;
   return sp;
 }

@@ -317,6 +317,14 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   profile.index_hits = eval_profile.index_hits.load(std::memory_order_relaxed);
   profile.engines_used =
       eval_profile.engines_used.load(std::memory_order_relaxed);
+  profile.chunks_pruned =
+      eval_profile.chunks_pruned.load(std::memory_order_relaxed);
+  profile.pages_pinned =
+      eval_profile.pages_pinned.load(std::memory_order_relaxed);
+  profile.pages_missed =
+      eval_profile.pages_missed.load(std::memory_order_relaxed);
+  profile.page_bytes_loaded =
+      eval_profile.page_bytes_loaded.load(std::memory_order_relaxed);
   profile.duplicate_rounds = duplicate_rounds_;
   profile.chaos_faults =
       chaos_faults_ == nullptr

@@ -1,22 +1,29 @@
 // On-disk chunk files: the persistent form of one relation partition,
-// written as a sequence of independently loadable columnar chunks plus a
+// written as a sequence of independently loadable column pages plus a
 // CRC-checked footer describing them.
 //
-// Layout (little-endian):
+// Layout, format 2 (little-endian):
 //
-//   file   := magic "SKALLAC1" chunk_payload* footer
+//   file   := magic "SKALLAC2" chunk* footer
 //             footer_len:u32 footer_crc:u32
+//   chunk  := page*                   one per column, in column order
+//   page   := row_count cells of one column, one WriteValue cell each
 //   footer := schema (serde field encoding)
 //             num_rows:varint nchunks:varint entry*
 //   entry  := row_begin:varint row_count:varint offset:varint
-//             length:varint payload_crc:u32 colstats*
-//   colstats := has_range:u8 [min:f64 max:f64] null_count:varint
-//   chunk_payload := cells column-major, one WriteValue cell each
+//             length:varint page_entry*          one per column
+//   page_entry := offset:varint length:varint crc:u32 colstats
+//   colstats   := has_range:u8 [min:f64 max:f64] null_count:varint
 //
-// Both the footer and every chunk payload carry a CRC-32 (the rpc
-// framing polynomial); a bit flip anywhere is detected at open / read
-// time rather than silently corrupting results. Offsets are absolute, so
-// a chunk reads with one seek — the unit the BufferManager pages.
+// Offsets are absolute. A chunk's entry records the region its pages
+// occupy; each page lies inside that region, after the previous page,
+// and carries its own CRC-32 (the rpc framing polynomial), so one
+// column of one chunk — the unit the BufferManager pages — reads with
+// one pread and verifies on its own. The footer has a CRC too: a bit
+// flip anywhere is detected at open or read time rather than silently
+// corrupting results. Format 1 (magic "SKALLAC1", one CRC per whole
+// chunk) is not read; opening such a file is an IOError that says to
+// re-save it.
 //
 // ChunkFileWriter streams rows through a bounded buffer: a chunk's rows
 // are the only ones resident while writing, which is what lets
@@ -37,13 +44,20 @@
 
 namespace skalla {
 
+/// Where one column page lives in a chunk file.
+struct PageExtent {
+  uint64_t offset = 0;  // absolute file offset of the page
+  uint64_t length = 0;  // page bytes
+  uint32_t crc = 0;     // CRC-32 of the page
+};
+
 /// Directory entry for one chunk of a chunk file.
 struct ChunkEntry {
   size_t row_begin = 0;
   size_t row_count = 0;
-  uint64_t offset = 0;  // absolute file offset of the payload
-  uint64_t length = 0;  // payload bytes
-  uint32_t crc = 0;     // CRC-32 of the payload
+  uint64_t offset = 0;  // absolute file offset of the chunk's first page
+  uint64_t length = 0;  // bytes of all its pages
+  std::vector<PageExtent> pages;               // one per column
   std::vector<ChunkColumnStats> column_stats;  // one per column
 };
 
@@ -87,15 +101,21 @@ class ChunkFileWriter {
 Status WriteChunkFile(const Table& table, const std::string& path,
                       size_t chunk_rows = kDefaultChunkRows);
 
-/// An opened chunk file: the parsed footer plus the ability to read any
-/// chunk. Reads are independent (each opens its own stream), so
-/// concurrent ReadChunk calls from buffer-manager loaders are safe.
+/// An opened chunk file: the parsed footer plus one read-only descriptor
+/// held for the file's lifetime. Page reads are positioned (pread), so
+/// concurrent reads from buffer-manager loaders are safe.
 class ChunkFile {
  public:
-  /// Opens `path` and parses its footer. A directory entry whose
-  /// payload lies outside the file's payload region, or is too short
-  /// for its row count, is an IOError here rather than a huge buffer in
-  /// ReadChunk.
+  ChunkFile() = default;
+  ~ChunkFile();
+  ChunkFile(const ChunkFile&) = delete;
+  ChunkFile& operator=(const ChunkFile&) = delete;
+
+  /// Opens `path` and parses its footer. A directory entry whose chunk
+  /// lies outside the file's page region or overlaps the previous
+  /// chunk, a page outside its chunk or overlapping the previous page,
+  /// a page too short for its row count, or row ranges that do not tile
+  /// num_rows is an IOError here rather than a huge buffer later.
   static Result<std::shared_ptr<const ChunkFile>> Open(std::string path);
 
   const std::string& path() const { return path_; }
@@ -104,14 +124,22 @@ class ChunkFile {
   size_t num_chunks() const { return entries_.size(); }
   const ChunkEntry& entry(size_t i) const { return entries_[i]; }
 
-  /// Reads chunk `i`, checks its CRC and decodes its cells straight
-  /// into typed columns. A payload that is not exactly row_count cells
-  /// per column, or holds a cell its column cannot store, is a typed
-  /// error, never a crash.
+  /// Reads the pages of `columns` of chunk `i`, in request order. Each
+  /// page is read with one pread, checked against its CRC and decoded
+  /// straight into a typed column. A page that is not exactly row_count
+  /// cells, or holds a cell its column cannot store, is a typed error,
+  /// never a crash.
+  Result<std::vector<PagePtr>> ReadPages(
+      size_t i, const std::vector<size_t>& columns) const;
+
+  /// Reads every page of chunk `i` into a full chunk.
   Result<ChunkPtr> ReadChunk(size_t i) const;
 
  private:
+  Result<PagePtr> ReadPage(size_t i, size_t column) const;
+
   std::string path_;
+  int fd_ = -1;
   SchemaPtr schema_;
   size_t num_rows_ = 0;
   std::vector<ChunkEntry> entries_;

@@ -2,15 +2,17 @@
 // consume a relation through — modeled on the DataMgr/BufferMgr +
 // ArrowStorage split of hdk-style engines. A provider describes its
 // relation as an ordered sequence of chunks (contiguous global row
-// ranges) and serves each chunk on demand through Pin.
+// ranges) and serves each chunk on demand through Pin, which takes the
+// set of columns the caller reads: a paged provider loads only those
+// columns' pages.
 //
 // Implementations:
 //  - MemoryDataProvider wraps an in-memory Table. Its ResidentTable()
 //    shortcut lets consumers keep the zero-overhead direct path; chunked
 //    iteration is still available (chunks are built lazily and cached)
 //    so tests can force the paged code path over memory-backed data.
-//  - ChunkFileDataProvider pages chunks from a chunk file through a
-//    shared BufferManager; nothing is resident until pinned.
+//  - ChunkFileDataProvider pages column pages from a chunk file through
+//    a shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
 //    centralized union of per-site partitions for reference evaluation,
 //    without materializing the union.
@@ -47,8 +49,16 @@ class DataProvider {
   virtual size_t chunk_row_begin(size_t chunk) const = 0;
   virtual size_t chunk_rows(size_t chunk) const = 0;
 
-  /// Pins chunk `chunk` resident and returns the handle. Thread-safe.
-  virtual Result<PinnedChunk> Pin(size_t chunk) const = 0;
+  /// Pins columns `columns` (strictly ascending schema indexes) of chunk
+  /// `chunk` resident and returns the handle; column(c) of the pinned
+  /// chunk is valid for exactly those columns (memory-backed providers
+  /// may hold more). Thread-safe.
+  Result<PinnedChunk> Pin(size_t chunk,
+                          const std::vector<size_t>& columns) const;
+
+  /// Pins every column of chunk `chunk` — what the row oracle's boxed
+  /// rows (Chunk::row) and MaterializeProvider need.
+  Result<PinnedChunk> Pin(size_t chunk) const;
 
   /// The whole relation as one resident Table when this provider is
   /// memory-backed — the zero-overhead path consumers prefer when
@@ -69,6 +79,11 @@ class DataProvider {
 
   /// The index of the chunk containing global row `row`.
   size_t ChunkOfRow(size_t row) const;
+
+ protected:
+  /// Pin after the column set has been checked against the schema.
+  virtual Result<PinnedChunk> PinColumns(
+      size_t chunk, const std::vector<size_t>& columns) const = 0;
 };
 
 using DataProviderPtr = std::shared_ptr<const DataProvider>;
@@ -86,10 +101,14 @@ class MemoryDataProvider : public DataProvider {
     return chunk * chunk_rows_;
   }
   size_t chunk_rows(size_t chunk) const override;
-  Result<PinnedChunk> Pin(size_t chunk) const override;
   const Table* ResidentTable() const override { return table_.get(); }
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
+
+ protected:
+  /// Memory-backed chunks are always whole: every column is valid.
+  Result<PinnedChunk> PinColumns(
+      size_t chunk, const std::vector<size_t>& columns) const override;
 
  private:
   std::shared_ptr<const Table> table_;
@@ -101,7 +120,8 @@ class MemoryDataProvider : public DataProvider {
   mutable std::vector<ChunkPtr> cache_;
 };
 
-/// Pages chunks of one chunk file through a shared BufferManager.
+/// Pages the column pages of one chunk file through a shared
+/// BufferManager.
 class ChunkFileDataProvider : public DataProvider {
  public:
   /// Opens `path` (footer parse + CRC check happen here). All chunk
@@ -119,12 +139,15 @@ class ChunkFileDataProvider : public DataProvider {
   size_t chunk_rows(size_t chunk) const override {
     return file_->entry(chunk).row_count;
   }
-  Result<PinnedChunk> Pin(size_t chunk) const override;
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
 
   const ChunkFile& file() const { return *file_; }
   const std::shared_ptr<BufferManager>& buffers() const { return buffers_; }
+
+ protected:
+  Result<PinnedChunk> PinColumns(
+      size_t chunk, const std::vector<size_t>& columns) const override;
 
  private:
   ChunkFileDataProvider(std::shared_ptr<const ChunkFile> file,
@@ -149,9 +172,12 @@ class ConcatDataProvider : public DataProvider {
   size_t num_chunks() const override { return chunk_map_.size(); }
   size_t chunk_row_begin(size_t chunk) const override;
   size_t chunk_rows(size_t chunk) const override;
-  Result<PinnedChunk> Pin(size_t chunk) const override;
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
+
+ protected:
+  Result<PinnedChunk> PinColumns(
+      size_t chunk, const std::vector<size_t>& columns) const override;
 
  private:
   struct ChunkRef {

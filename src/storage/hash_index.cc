@@ -1,5 +1,6 @@
 #include "storage/hash_index.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
@@ -44,25 +45,41 @@ HashIndex HashIndex::Build(const Table& table,
 }
 
 Result<HashIndex> HashIndex::BuildChunked(const DataProvider& provider,
-                                          std::vector<size_t> key_columns) {
+                                          std::vector<size_t> key_columns,
+                                          PinCounts* pins) {
   HashIndex index;
   index.key_columns_ = std::move(key_columns);
   index.identity_columns_.resize(index.key_columns_.size());
   for (size_t k = 0; k < index.identity_columns_.size(); ++k) {
     index.identity_columns_[k] = k;
   }
+  std::vector<size_t> pin_columns = index.key_columns_;
+  std::sort(pin_columns.begin(), pin_columns.end());
+  pin_columns.erase(std::unique(pin_columns.begin(), pin_columns.end()),
+                    pin_columns.end());
   index.buckets_.reserve(provider.num_rows());
+  Row key;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, pin_columns));
+    if (pins != nullptr) {
+      pins->pages += pin.counts().pages;
+      pins->misses += pin.counts().misses;
+      pins->miss_bytes += pin.counts().miss_bytes;
+    }
     const size_t base = provider.chunk_row_begin(c);
     for (size_t r = 0; r < pin->num_rows(); ++r) {
-      const Row& row = pin->row(r);
+      // The key projection, in key-column order: hashing it over the
+      // identity columns equals hashing the full row over key_columns_.
+      key.clear();
+      for (size_t kc : index.key_columns_) {
+        key.push_back(pin->column(kc).GetValue(r));
+      }
       const size_t pos = base + r;
-      uint64_t h = HashRowKey(row, index.key_columns_);
+      uint64_t h = HashRowKey(key, index.identity_columns_);
       std::vector<Group>& groups = index.buckets_[h];
       Group* target = nullptr;
       for (Group& g : groups) {
-        if (RowKeyEquals(row, index.key_columns_,
+        if (RowKeyEquals(key, index.identity_columns_,
                          index.owned_keys_[g.repr],
                          index.identity_columns_)) {
           target = &g;
@@ -70,10 +87,7 @@ Result<HashIndex> HashIndex::BuildChunked(const DataProvider& provider,
         }
       }
       if (target == nullptr) {
-        Row key;
-        key.reserve(index.key_columns_.size());
-        for (size_t kc : index.key_columns_) key.push_back(row[kc]);
-        index.owned_keys_.push_back(std::move(key));
+        index.owned_keys_.push_back(key);
         groups.push_back(
             Group{static_cast<uint32_t>(index.owned_keys_.size() - 1), {}});
         target = &groups.back();

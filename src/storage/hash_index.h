@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/buffer_manager.h"
 #include "storage/table.h"
 #include "types/row.h"
 
@@ -33,11 +34,13 @@ class HashIndex {
   static HashIndex Build(const Table& table, std::vector<size_t> key_columns);
 
   /// Builds an index over a chunk-paged relation by streaming its chunks
-  /// in order. The index owns projected copies of the group keys, so it
-  /// stays valid after the chunks are evicted; only the provider's row
-  /// numbering (not its residency) must stay stable.
+  /// in order, pinning only the key columns. The index owns projected
+  /// copies of the group keys, so it stays valid after the pages are
+  /// evicted; only the provider's row numbering (not its residency) must
+  /// stay stable. The pins' page counts are added to `pins` when given.
   static Result<HashIndex> BuildChunked(const DataProvider& provider,
-                                        std::vector<size_t> key_columns);
+                                        std::vector<size_t> key_columns,
+                                        PinCounts* pins = nullptr);
 
   /// Returns the row positions whose key equals the projection of `probe`
   /// onto `probe_columns`, or nullptr if no such key exists.

@@ -1,22 +1,28 @@
 // The disk-backed storage subsystem end to end: chunk file round trips,
-// CRC corruption detection, the typed chunk decoder against Chunk::Build
-// and against hostile payloads, byte-identical chunk-paged evaluation at
-// any buffer budget, chunked warehouse save/load, and storage-reload data
-// epochs.
+// per-page CRC corruption detection, the typed page decoder against
+// Chunk::Build and against hostile payloads and directories, kernels
+// loading only the column pages they reference, byte-identical
+// chunk-paged evaluation at any buffer budget, chunked warehouse
+// save/load, and storage-reload data epochs.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/macros.h"
+#include "common/string_util.h"
+#include "core/evaluate.h"
 #include "core/local_eval.h"
 #include "data/tpcr_gen.h"
 #include "dist/warehouse.h"
@@ -123,6 +129,25 @@ TEST_F(ChunkStorageTest, CorruptionIsDetected) {
   EXPECT_TRUE(damaged->ReadChunk(0).ok());
   EXPECT_TRUE(damaged->ReadChunk(1).status().IsIOError());
 
+  // Each page carries its own CRC: flipping a byte of one column's page
+  // fails exactly that page, and the chunk's other pages still read.
+  WriteChunkFile(original, path, /*chunk_rows=*/100).Check();
+  const PageExtent page = clean->entry(1).pages[2];
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(page.offset + page.length / 2));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(static_cast<std::streamoff>(page.offset + page.length / 2));
+    f.write(&byte, 1);
+  }
+  auto one_page = ChunkFile::Open(path).ValueOrDie();
+  EXPECT_TRUE(one_page->ReadPages(1, {2}).status().IsIOError());
+  EXPECT_TRUE(one_page->ReadPages(1, {0, 1}).ok());
+  EXPECT_TRUE(one_page->ReadPages(0, {2}).ok());
+  EXPECT_TRUE(one_page->ReadPages(1, {3}).status().IsInvalidArgument());
+
   // Truncate into the footer: the file no longer opens at all.
   const std::string truncated = Path("truncated.skc");
   WriteChunkFile(original, truncated, /*chunk_rows=*/100).Check();
@@ -186,20 +211,36 @@ TEST_F(ChunkStorageTest, TypedDecodeMatchesChunkBuildForEveryType) {
   }
 }
 
-// Writes a one-chunk file around a hand-made payload, with the payload
-// and footer CRCs computed as the writer would. `offset` and `length`
-// override the directory entry when given.
+// Directory overrides for WriteRawChunkFile; unset fields take the
+// values the writer would record.
+struct RawOverrides {
+  std::optional<uint64_t> num_rows;
+  std::optional<uint64_t> row_begin;
+  std::optional<uint64_t> chunk_offset;
+  std::optional<uint64_t> chunk_length;
+  size_t page = 0;  // the page the two fields below override
+  std::optional<uint64_t> page_offset;
+  std::optional<uint64_t> page_length;
+};
+
+// Writes a format 2 file with one chunk of `row_count` rows around
+// hand-made pages (one per column), with the page and footer CRCs
+// computed as the writer would.
 void WriteRawChunkFile(const std::string& path, const Schema& schema,
-                       size_t row_count, const std::vector<uint8_t>& payload,
-                       std::optional<uint64_t> offset = std::nullopt,
-                       std::optional<uint64_t> length = std::nullopt) {
+                       size_t row_count,
+                       const std::vector<std::vector<uint8_t>>& pages,
+                       const RawOverrides& o = {}) {
   auto put_u32 = [](std::vector<uint8_t>* out, uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       out->push_back(static_cast<uint8_t>(v >> 8 * i));
     }
   };
-  std::vector<uint8_t> file = {'S', 'K', 'A', 'L', 'L', 'A', 'C', '1'};
-  file.insert(file.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> file = {'S', 'K', 'A', 'L', 'L', 'A', 'C', '2'};
+  std::vector<uint64_t> offsets;
+  for (const std::vector<uint8_t>& page : pages) {
+    offsets.push_back(file.size());
+    file.insert(file.end(), page.begin(), page.end());
+  }
   std::vector<uint8_t> footer;
   PutVarint(&footer, schema.num_fields());
   for (const Field& field : schema.fields()) {
@@ -207,14 +248,19 @@ void WriteRawChunkFile(const std::string& path, const Schema& schema,
     footer.insert(footer.end(), field.name.begin(), field.name.end());
     footer.push_back(static_cast<uint8_t>(field.type));
   }
-  PutVarint(&footer, row_count);
+  PutVarint(&footer, o.num_rows.value_or(row_count));
   PutVarint(&footer, 1);  // one chunk
-  PutVarint(&footer, 0);  // row_begin
+  PutVarint(&footer, o.row_begin.value_or(0));
   PutVarint(&footer, row_count);
-  PutVarint(&footer, offset.value_or(8));
-  PutVarint(&footer, length.value_or(payload.size()));
-  put_u32(&footer, rpc::Crc32(payload.data(), payload.size()));
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
+  PutVarint(&footer, o.chunk_offset.value_or(8));
+  PutVarint(&footer, o.chunk_length.value_or(file.size() - 8));
+  for (size_t c = 0; c < pages.size(); ++c) {
+    const bool override = c == o.page;
+    PutVarint(&footer, override ? o.page_offset.value_or(offsets[c])
+                                : offsets[c]);
+    PutVarint(&footer, override ? o.page_length.value_or(pages[c].size())
+                                : pages[c].size());
+    put_u32(&footer, rpc::Crc32(pages[c].data(), pages[c].size()));
     footer.push_back(0);    // no range
     PutVarint(&footer, 0);  // null count
   }
@@ -235,10 +281,11 @@ TEST_F(ChunkStorageTest, HostilePayloadsGiveTypedStatus) {
   const uint8_t kStr = static_cast<uint8_t>(ValueType::kString);
   const uint8_t kNull = static_cast<uint8_t>(ValueType::kNull);
   // Two rows: i = {1, NULL}, s = {"ab", ""}.
-  const std::vector<uint8_t> valid = {kInt, 2, kNull, kStr, 2, 'a', 'b',
-                                      kStr, 0};
+  const std::vector<uint8_t> valid_i = {kInt, 2, kNull};
+  const std::vector<uint8_t> valid_s = {kStr, 2, 'a', 'b', kStr, 0};
+  const std::vector<uint8_t> empty_s = {kStr, 0, kStr, 0};
   const std::string path = Path("hostile.skc");
-  WriteRawChunkFile(path, *schema, 2, valid);
+  WriteRawChunkFile(path, *schema, 2, {valid_i, valid_s});
   {
     ChunkPtr chunk =
         ChunkFile::Open(path).ValueOrDie()->ReadChunk(0).ValueOrDie();
@@ -254,44 +301,43 @@ TEST_F(ChunkStorageTest, HostilePayloadsGiveTypedStatus) {
     uint8_t raw[8];
     std::memcpy(raw, &half, 8);
     p.insert(p.end(), raw, raw + 8);
-    p.insert(p.end(), {kNull, kStr, 0, kStr, 0});
+    p.push_back(kNull);
     return p;
   }();
   struct Case {
     const char* name;
-    std::vector<uint8_t> payload;
+    std::vector<uint8_t> page_i;
+    std::vector<uint8_t> page_s;
     StatusCode code;
   };
   const std::vector<Case> cases = {
-      {"unknown tag", {kInt, 2, 9, kStr, 0, kStr, 0}, StatusCode::kIOError},
-      {"truncated varint", {kInt, 2, kInt, 0x80}, StatusCode::kIOError},
+      {"unknown tag", {kInt, 2, 9}, empty_s, StatusCode::kIOError},
+      {"truncated varint", {kInt, 2, kInt, 0x80}, empty_s,
+       StatusCode::kIOError},
       {"over-long varint",
        {kInt, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
-        kNull, kStr, 0, kStr, 0},
+        kNull},
+       empty_s, StatusCode::kIOError},
+      {"string length past the end", valid_i,
+       {kStr, 50, 'a', 'b', kStr, 0}, StatusCode::kIOError},
+      {"string length near 2^64", valid_i,
+       {kStr, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
        StatusCode::kIOError},
-      {"string length past the end",
-       {kInt, 2, kNull, kStr, 50, 'a', 'b', kStr, 0},
-       StatusCode::kIOError},
-      {"string length near 2^64",
-       {kInt, 2, kNull, kStr, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-        0xff, 0x01},
-       StatusCode::kIOError},
-      {"STRING cell in an INT64 column",
-       {kStr, 1, 'q', kNull, kStr, 0, kStr, 0},
+      {"STRING cell in an INT64 column", {kStr, 1, 'q', kNull}, empty_s,
        StatusCode::kTypeError},
-      {"INT64 cell in a STRING column", {kInt, 2, kNull, kInt, 2, kStr, 0},
+      {"INT64 cell in a STRING column", valid_i, {kInt, 2, kStr, 0},
        StatusCode::kTypeError},
-      {"non-integral FLOAT64 in an INT64 column", non_integral,
+      {"non-integral FLOAT64 in an INT64 column", non_integral, empty_s,
        StatusCode::kTypeError},
       {"trailing bytes", [&] {
-         std::vector<uint8_t> p = valid;
+         std::vector<uint8_t> p = valid_i;
          p.push_back(kNull);
          return p;
        }(),
-       StatusCode::kIOError},
+       valid_s, StatusCode::kIOError},
   };
   for (const Case& c : cases) {
-    WriteRawChunkFile(path, *schema, 2, c.payload);
+    WriteRawChunkFile(path, *schema, 2, {c.page_i, c.page_s});
     auto file = ChunkFile::Open(path);
     ASSERT_TRUE(file.ok()) << c.name << ": " << file.status().ToString();
     Result<ChunkPtr> chunk = (*file)->ReadChunk(0);
@@ -304,11 +350,12 @@ TEST_F(ChunkStorageTest, HostilePayloadsGiveTypedStatus) {
 TEST_F(ChunkStorageTest, OpenRejectsImpossibleDirectoryEntries) {
   SchemaPtr schema = Schema::Make({{"i", ValueType::kInt64}}).ValueOrDie();
   const uint8_t kInt = static_cast<uint8_t>(ValueType::kInt64);
-  const std::vector<uint8_t> payload = {kInt, 2, kInt, 4};
+  const std::vector<uint8_t> page = {kInt, 2, kInt, 4};
   const std::string path = Path("directory.skc");
-  WriteRawChunkFile(path, *schema, 2, payload);
+  WriteRawChunkFile(path, *schema, 2, {page});
   ASSERT_TRUE(ChunkFile::Open(path).ok());
 
+  // The chunk's region and its only page, moved together.
   struct Case {
     const char* name;
     size_t row_count;
@@ -324,49 +371,264 @@ TEST_F(ChunkStorageTest, OpenRejectsImpossibleDirectoryEntries) {
       {"more cells than payload bytes", 5, 8, 4},
   };
   for (const Case& c : cases) {
-    WriteRawChunkFile(path, *schema, c.row_count, payload, c.offset,
-                      c.length);
+    RawOverrides o;
+    o.chunk_offset = o.page_offset = c.offset;
+    o.chunk_length = o.page_length = c.length;
+    WriteRawChunkFile(path, *schema, c.row_count, {page}, o);
     auto file = ChunkFile::Open(path);
     ASSERT_FALSE(file.ok()) << c.name;
     EXPECT_TRUE(file.status().IsIOError())
         << c.name << ": " << file.status().ToString();
   }
+
+  // Format 2's own invariants, over two INT64 columns.
+  SchemaPtr two = Schema::Make({{"i", ValueType::kInt64},
+                                {"j", ValueType::kInt64}})
+                      .ValueOrDie();
+  const std::vector<uint8_t> page_j = {kInt, 6, kInt, 8};
+  WriteRawChunkFile(path, *two, 2, {page, page_j});
+  ASSERT_TRUE(ChunkFile::Open(path).ok());
+  auto with = [](auto set) {
+    RawOverrides o;
+    set(&o);
+    return o;
+  };
+  struct Case2 {
+    const char* name;
+    RawOverrides o;
+  };
+  const std::vector<Case2> cases2 = {
+      {"column extent outside its chunk",
+       with([](RawOverrides* o) { o->chunk_length = 6; })},
+      {"page before its chunk", with([](RawOverrides* o) {
+         o->page = 0;
+         o->page_offset = 7;
+       })},
+      {"overlapping extents", with([](RawOverrides* o) {
+         o->page = 1;
+         o->page_offset = 10;
+       })},
+      {"rows do not add up to num_rows",
+       with([](RawOverrides* o) { o->num_rows = 3; })},
+      {"first chunk does not start at row 0",
+       with([](RawOverrides* o) { o->row_begin = 1; })},
+  };
+  for (const Case2& c : cases2) {
+    WriteRawChunkFile(path, *two, 2, {page, page_j}, c.o);
+    auto file = ChunkFile::Open(path);
+    ASSERT_FALSE(file.ok()) << c.name;
+    EXPECT_TRUE(file.status().IsIOError())
+        << c.name << ": " << file.status().ToString();
+  }
+
+  // A format 1 file (same bytes, old magic) is a typed error that says
+  // how to fix it.
+  WriteRawChunkFile(path, *two, 2, {page, page_j});
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(7);
+    f.put('1');
+  }
+  auto v1 = ChunkFile::Open(path);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_TRUE(v1.status().IsIOError());
+  EXPECT_NE(v1.status().ToString().find("re-save"), std::string::npos)
+      << v1.status().ToString();
+}
+
+// A detail relation wider than any query below reads: `pad` and `note`
+// are never referenced, so a paged kernel must never load their pages.
+Table MakeWideDetail(int64_t salt, size_t rows = 900) {
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"name", ValueType::kString},
+                                   {"v", ValueType::kFloat64},
+                                   {"pad", ValueType::kFloat64},
+                                   {"note", ValueType::kString}})
+                         .ValueOrDie();
+  Table t(schema);
+  for (size_t i = 0; i < rows; ++i) {
+    int64_t n = salt + static_cast<int64_t>(i);
+    t.AppendUnchecked({Value(n % 13), Value("name-" + std::to_string(n % 7)),
+                       Value(static_cast<double>(n % 101) / 4.0),
+                       Value(static_cast<double>(n) * 0.5),
+                       Value("note-" + std::string(40, 'a' + n % 26))});
+  }
+  return t;
+}
+
+// One block on each columnar path: grouped, candidates, and a scan whose
+// detail conjunct can prune chunks.
+GmdjExpr ThreePathQuery() {
+  return ParseQuery(R"(
+    BASE SELECT DISTINCT g FROM d;
+    MD USING d COMPUTE COUNT(*) AS c, SUM(v) AS s, MIN(v) AS lo
+       WHERE r.g = b.g;
+    MD USING d COMPUTE COUNT(*) AS above
+       WHERE r.g = b.g AND r.v >= b.s / b.c;
+    MD USING d COMPUTE COUNT(*) AS n, MAX(v) AS hi
+       WHERE r.v > 20.0 AND r.g < b.g;
+  )").ValueOrDie();
+}
+
+// The base query, then each GMDJ through core::EvaluateGmdj (the engine
+// `context` picks), finalizing like EvalCentralized.
+Result<Table> EvalThroughKernels(const GmdjExpr& query,
+                                 const Catalog& catalog,
+                                 EvalContext context) {
+  context.sub_aggregates = false;
+  context.compute_rng = false;
+  SKALLA_ASSIGN_OR_RETURN(Table current, query.base.Execute(catalog));
+  for (const GmdjOp& op : query.ops) {
+    SKALLA_ASSIGN_OR_RETURN(current,
+                            EvaluateGmdj(current, op, catalog, context));
+  }
+  return current;
+}
+
+// Column pages, not chunks: a kernel run over a chunk file loads exactly
+// the pages of the columns the query references, and the EvalProfile
+// accounts the pages the kernels themselves pinned and loaded.
+TEST_F(ChunkStorageTest, KernelsLoadOnlyReferencedColumnPages) {
+  Table detail = MakeWideDetail(3);
+  const std::string path = Path("pages.skc");
+  const size_t chunk_rows = 64;
+  WriteChunkFile(detail, path, chunk_rows).Check();
+
+  auto buffers = std::make_shared<BufferManager>(0);  // unlimited
+  Catalog paged;
+  paged.RegisterProvider(
+      "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
+  const size_t num_chunks = (detail.num_rows() - 1) / chunk_rows + 1;
+  uint64_t g_bytes = 0, v_bytes = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t begin = c * chunk_rows;
+    ChunkPtr built =
+        Chunk::Build(detail, begin,
+                     std::min(chunk_rows, detail.num_rows() - begin))
+            .ValueOrDie();
+    g_bytes += EstimateColumnBytes(built->column(0));
+    v_bytes += EstimateColumnBytes(built->column(2));
+  }
+
+  EvalProfile profile;
+  EvalContext context;
+  context.profile = &profile;
+  Table got =
+      EvalThroughKernels(ThreePathQuery(), paged, context).ValueOrDie();
+
+  Catalog eager;
+  eager.Register("d", detail);
+  EXPECT_EQ(TableBytes(got),
+            TableBytes(EvalCentralized(ThreePathQuery(), eager).ValueOrDie()));
+  EXPECT_EQ(profile.engines_used.load(), kEngineBitColumnar);
+
+  // The base scan loads g; the kernels load v; nothing loads name, pad or
+  // note, and nothing loads a page twice.
+  BufferStats stats = buffers->stats();
+  EXPECT_EQ(stats.misses, 2 * num_chunks);
+  EXPECT_EQ(stats.miss_bytes, g_bytes + v_bytes);
+  EXPECT_EQ(profile.pages_missed.load(), num_chunks);
+  EXPECT_EQ(profile.page_bytes_loaded.load(), v_bytes);
+  EXPECT_GT(profile.pages_pinned.load(), 2 * num_chunks);
+  EXPECT_GT(profile.chunks_pruned.load(), 0u);
 }
 
 // The tentpole contract: evaluating through a paged provider is
-// byte-identical to in-memory evaluation at every buffer budget — even
-// one so small every pin evicts something.
+// byte-identical to the row oracle over the resident relation at every
+// buffer budget — one byte (every release evicts), one page, a partial
+// pool, unlimited — on every engine, with chunk pruning on and off.
 TEST_F(ChunkStorageTest, ChunkPagedEvalIsByteIdenticalAtAnyBudget) {
-  Table detail = MakeDetail(3);
+  Table detail = MakeWideDetail(3);
   const std::string path = Path("eval.skc");
   WriteChunkFile(detail, path, /*chunk_rows=*/64).Check();
 
   Catalog eager;
   eager.Register("d", detail);
-  GmdjExpr query = TestQuery();
+  GmdjExpr query = ThreePathQuery();
   const std::vector<uint8_t> expected =
       TableBytes(EvalCentralized(query, eager).ValueOrDie());
 
-  const uint64_t chunk_bytes =
-      Chunk::Build(detail, 0, 64).ValueOrDie()->byte_size();
-  for (uint64_t budget : {uint64_t{1}, chunk_bytes * 3, uint64_t{0}}) {
-    auto buffers = std::make_shared<BufferManager>(budget);
-    Catalog paged;
-    paged.RegisterProvider(
-        "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
-    EXPECT_TRUE(paged.IsChunkBacked("d"));
+  ChunkPtr first = Chunk::Build(detail, 0, 64).ValueOrDie();
+  uint64_t one_page = 0;
+  for (size_t c = 0; c < first->num_columns(); ++c) {
+    one_page = std::max(one_page, EstimateColumnBytes(first->column(c)));
+  }
+  for (uint64_t budget :
+       {uint64_t{1}, one_page, first->byte_size() * 3, uint64_t{0}}) {
+    for (EvalEngine engine :
+         {EvalEngine::kAuto, EvalEngine::kRow, EvalEngine::kColumnar}) {
+      for (bool pruning : {true, false}) {
+        auto buffers = std::make_shared<BufferManager>(budget);
+        Catalog paged;
+        paged.RegisterProvider(
+            "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
+        EXPECT_TRUE(paged.IsChunkBacked("d"));
+        EvalContext context;
+        context.engine = engine;
+        context.chunk_pruning = pruning;
+        const std::string label =
+            StrCat("budget=", budget, " engine=", EvalEngineName(engine),
+                   " pruning=", pruning);
 
-    Table got = EvalCentralized(query, paged).ValueOrDie();
-    EXPECT_EQ(TableBytes(got), expected) << "budget=" << budget;
+        Table got = EvalThroughKernels(query, paged, context).ValueOrDie();
+        EXPECT_EQ(TableBytes(got), expected) << label;
+        EXPECT_EQ(TableBytes(EvalCentralized(query, paged).ValueOrDie()),
+                  expected)
+            << label;
 
-    BufferStats stats = buffers->stats();
-    EXPECT_GT(stats.misses, 0u) << "budget=" << budget;
-    if (budget == 1) {
-      // Nothing fits: every release evicts, nothing stays resident.
-      EXPECT_GT(stats.evictions, 0u);
-      EXPECT_LE(stats.resident_bytes, budget);
+        BufferStats stats = buffers->stats();
+        EXPECT_GT(stats.misses, 0u) << label;
+        EXPECT_EQ(stats.pinned_pages, 0u) << label;
+        if (budget != 0) {
+          EXPECT_LE(stats.resident_bytes, budget) << label;
+        }
+        if (budget == 1) {
+          // Nothing fits: every release evicts, nothing stays resident.
+          EXPECT_GT(stats.evictions, 0u) << label;
+          EXPECT_EQ(stats.resident_pages, 0u) << label;
+        }
+      }
     }
   }
+}
+
+// Threads pin overlapping column sets of the same chunks of one file at
+// once: every pin sees the right cells and every page loads once.
+TEST_F(ChunkStorageTest, ConcurrentOverlappingPinsLoadEachPageOnce) {
+  Table detail = MakeWideDetail(5, 256);
+  const std::string path = Path("threads.skc");
+  WriteChunkFile(detail, path, /*chunk_rows=*/64).Check();
+  auto buffers = std::make_shared<BufferManager>(0);
+  auto provider = ChunkFileDataProvider::Open(path, buffers).ValueOrDie();
+
+  const std::vector<std::vector<size_t>> sets = {
+      {0, 2}, {2, 4}, {0, 1, 2}, {1, 3}, {0, 4}, {3, 4}};
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  for (const std::vector<size_t>& set : sets) {
+    threads.emplace_back([&, set] {
+      for (size_t c = 0; c < provider->num_chunks(); ++c) {
+        Result<PinnedChunk> pin = provider->Pin(c, set);
+        if (!pin.ok()) return;
+        const Chunk& chunk = **pin;
+        for (size_t col : set) {
+          if (!chunk.has_column(col)) return;
+          for (size_t r = 0; r < chunk.num_rows(); ++r) {
+            if (!chunk.column(col).GetValue(r).Equals(
+                    detail.at(chunk.row_begin() + r, col))) {
+              return;
+            }
+          }
+        }
+      }
+      ++ok;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ok.load(), static_cast<int>(sets.size()));
+  BufferStats stats = buffers->stats();
+  EXPECT_EQ(stats.misses, provider->num_chunks() * 5);
+  EXPECT_EQ(stats.pinned_pages, 0u);
 }
 
 // The oracle (nested-loop) path must match too, at a pathological

@@ -151,14 +151,14 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV6) {
-  // v6: BeginPlan carries the plan's EvalContext::engine and
-  // RoundProfile reports the engines a round actually used
+TEST(FrameTest, ProtocolVersionIsV7) {
+  // v7: RoundProfile reports the chunks pruned and the column pages a
+  // round pinned, missed and loaded, after v6's engines_used
   // (docs/RPC.md). The version byte is the wire contract for all of
   // that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 6);
+  EXPECT_EQ(kProtocolVersion, 7);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 6);
+  EXPECT_EQ(wire[4], 7);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {

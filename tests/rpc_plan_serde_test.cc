@@ -379,6 +379,10 @@ RoundProfile ExampleProfile() {
   profile.duplicate_rounds = 1;
   profile.chaos_faults = 2;
   profile.engines_used = kEngineBitRow | kEngineBitColumnar;
+  profile.chunks_pruned = 6;
+  profile.pages_pinned = 420;
+  profile.pages_missed = 57;
+  profile.page_bytes_loaded = 1311000;
   obs::TraceEvent span;
   span.name = "site.round:md1";
   span.category = "site";
@@ -412,6 +416,10 @@ void ExpectProfileEq(const RoundProfile& a, const RoundProfile& b) {
   EXPECT_EQ(a.duplicate_rounds, b.duplicate_rounds);
   EXPECT_EQ(a.chaos_faults, b.chaos_faults);
   EXPECT_EQ(a.engines_used, b.engines_used);
+  EXPECT_EQ(a.chunks_pruned, b.chunks_pruned);
+  EXPECT_EQ(a.pages_pinned, b.pages_pinned);
+  EXPECT_EQ(a.pages_missed, b.pages_missed);
+  EXPECT_EQ(a.page_bytes_loaded, b.page_bytes_loaded);
   ASSERT_EQ(a.spans.size(), b.spans.size());
   for (size_t i = 0; i < a.spans.size(); ++i) {
     EXPECT_EQ(a.spans[i].name, b.spans[i].name);
@@ -433,6 +441,32 @@ TEST(PlanSerdeTest, RoundProfileRoundTrips) {
   RoundProfile decoded = ReadRoundProfile(&reader).ValueOrDie();
   EXPECT_EQ(reader.remaining(), 0u);
   ExpectProfileEq(decoded, profile);
+}
+
+// Protocol v7: the page counts ride after engines_used as four varints.
+// Large values survive, and a v6-shaped profile (nothing after
+// engines_used but the span count) no longer decodes.
+TEST(PlanSerdeTest, RoundProfilePageCountsRoundTrip) {
+  RoundProfile profile;
+  profile.site_id = 1;
+  profile.engines_used = kEngineBitColumnar;
+  profile.chunks_pruned = 3;
+  profile.pages_pinned = uint64_t{1} << 40;
+  profile.pages_missed = (uint64_t{1} << 33) + 1;
+  profile.page_bytes_loaded = ~uint64_t{0};
+  std::vector<uint8_t> buffer;
+  WriteRoundProfile(&buffer, profile);
+  ByteReader reader(buffer.data(), buffer.size());
+  RoundProfile decoded = ReadRoundProfile(&reader).ValueOrDie();
+  EXPECT_EQ(reader.remaining(), 0u);
+  ExpectProfileEq(decoded, profile);
+
+  RoundProfile zero;
+  std::vector<uint8_t> v6;
+  WriteRoundProfile(&v6, zero);
+  v6.resize(v6.size() - 4);  // drop the four zero page-count varints
+  ByteReader v6_reader(v6.data(), v6.size());
+  EXPECT_FALSE(ReadRoundProfile(&v6_reader).ok());
 }
 
 TEST(PlanSerdeTest, RoundResultRoundTripsWithAndWithoutTable) {

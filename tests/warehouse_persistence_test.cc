@@ -89,5 +89,46 @@ TEST_F(WarehousePersistenceTest, LoadErrors) {
   EXPECT_TRUE(DistributedWarehouse::Load(dir_).status().IsIOError());
 }
 
+// The site count sizes per-site state before any partition is read, so
+// a hostile MANIFEST must be refused before anything is allocated: a
+// 40-byte file announcing 10^12 sites used to abort the process with an
+// uncaught std::bad_alloc.
+TEST_F(WarehousePersistenceTest, HostileSiteCountIsIOError) {
+  const std::string path = dir_ + "/MANIFEST";
+  auto write_manifest = [&](const std::string& text) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  };
+  const char* const counts[] = {
+      "1000000000000",            // far beyond kMaxWarehouseSites
+      "99999999999999999999999",  // overflows 64 bits
+      "65537",                    // one past kMaxWarehouseSites
+      "3x",                       // trailing garbage
+      "3 ",                       // trailing space
+      "-1",                       // not a count
+      " 3",                       // leading space
+      "",                         // missing
+      "0",                        // zero sites
+  };
+  for (const char* header :
+       {"skalla-warehouse 1", "skalla-warehouse 2 chunked"}) {
+    for (const char* count : counts) {
+      write_manifest(std::string(header) + "\nsites " + count + "\n");
+      Result<DistributedWarehouse> loaded = DistributedWarehouse::Load(dir_);
+      EXPECT_TRUE(loaded.status().IsIOError())
+          << header << " / sites '" << count
+          << "': " << loaded.status().ToString();
+      EXPECT_TRUE(ReadWarehouseManifest(dir_).status().IsIOError())
+          << header << " / sites '" << count << "'";
+    }
+  }
+
+  // The largest allowed count still parses.
+  write_manifest("skalla-warehouse 1\nsites 65536\n");
+  WarehouseManifest manifest = ReadWarehouseManifest(dir_).ValueOrDie();
+  EXPECT_EQ(manifest.num_sites, kMaxWarehouseSites);
+}
+
 }  // namespace
 }  // namespace skalla
