@@ -9,8 +9,9 @@
 # distinct queries twice each. Checks every reply is OK, that both
 # submissions of each query return byte-identical tables, that a repeat
 # query is served from the sub-aggregate cache (zero bytes transferred),
-# and validates the coordinator's merged cross-process trace with
-# scripts/check_trace.py.
+# that an over-long line or query gets ERR without disturbing other
+# clients, and validates the coordinator's merged cross-process trace
+# with scripts/check_trace.py.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -117,6 +118,40 @@ done
 python3 "$HERE/coord_client.py" "$COORD" "${QUERIES[0]}" >"$WORK/repeat.out"
 grep -q '^total: 0 bytes, 0 tuples' "$WORK/repeat.out"
 diff <(table_of "$WORK/repeat.out") <(table_of "$WORK/client0.out")
+
+# Hostile input: a line one byte over the coordinator's 1 MiB line cap,
+# and a query whose pending text passes the 4 MiB query cap in lines
+# that each fit. Each gets ERR + END and only that connection closes.
+# The payloads are sized so the coordinator has read every byte sent
+# when it replies, so the close is clean and the reply is readable.
+python3 - "$COORD" <<'PY'
+import socket
+import sys
+
+host, _, port = sys.argv[1].rpartition(":")
+MIB = 1 << 20
+for name, payload in (
+    ("over-long line", b"x" * (MIB + 1)),
+    ("over-long query", (b"x" * MIB + b"\n") * 4),
+):
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(payload)
+        reply = b""
+        while not reply.endswith(b"END\n"):
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+        rest = sock.recv(1)  # the coordinator closed the connection
+    if not reply.startswith(b"ERR ") or not reply.endswith(b"\nEND\n"):
+        sys.exit(f"{name}: expected ERR + END, got {reply[:200]!r}")
+    if rest:
+        sys.exit(f"{name}: connection stayed open")
+PY
+
+# The coordinator still serves other clients, with the same answer.
+python3 "$HERE/coord_client.py" "$COORD" "${QUERIES[1]}" >"$WORK/after.out"
+diff <(table_of "$WORK/after.out") <(table_of "$WORK/client1.out")
 
 python3 "$HERE/coord_client.py" "$COORD" .shutdown
 wait "$COORD_PID"

@@ -1,5 +1,15 @@
-// Vectorized GMDJ evaluation over columnar detail relations, for
+// Vectorized GMDJ evaluation over a detail relation's typed chunks, for
 // arbitrary conditions θ.
+//
+// The detail relation streams through its DataProvider one chunk at a
+// time, in global row order (pin → select → fold → unpin), pinning only
+// the columns a block reads. The same path serves chunk-paged relations
+// (ChunkFileDataProvider) and resident ones (MemoryDataProvider's lazily
+// built, cached chunk views). Group maps own boxed representative keys,
+// so a chunk may be evicted between the build and the probe, and chunks
+// whose min/max stats prove no row can pass a comparison conjunct are
+// skipped without pinning (EvalContext::chunk_pruning) — results stay
+// byte-identical at any buffer budget, pruning on or off.
 //
 // Each block's θ splits into equality atoms, detail-only conjuncts,
 // correlated conjuncts, and base-only conjuncts (predicate_eval.h), and
@@ -24,22 +34,14 @@
 // Accumulator fold/merge math over well-typed tables, and the predicate
 // split replicates per-conjunct NULL-as-false evaluation.
 //
-// Parallelism: within a block, part folds, base-row morsels, and
-// detail-row morsels run under EvalContext::eval_threads; decomposition
-// and merge order depend only on morsel_rows, so results are
-// byte-identical at every thread count.
-//
-// Chunk-paged detail relations evaluate through the DataProvider
-// overload: chunks stream in global row order (pin → select → fold →
-// unpin), group maps own boxed representative keys, and chunks whose
-// persisted min/max stats prove no row can pass a comparison conjunct
-// are skipped without pinning (EvalContext::chunk_pruning) — results
-// stay byte-identical at any buffer budget, pruning on or off.
+// Parallelism: within a block, base-row morsels and detail-row morsels
+// run under EvalContext::eval_threads; decomposition and merge order
+// depend only on morsel_rows, so results are byte-identical at every
+// thread count.
 
 #ifndef SKALLA_COLUMNAR_VECTOR_EVAL_H_
 #define SKALLA_COLUMNAR_VECTOR_EVAL_H_
 
-#include "columnar/column_table.h"
 #include "common/result.h"
 #include "core/eval_context.h"
 #include "core/gmdj.h"
@@ -51,14 +53,9 @@ namespace skalla {
 /// Sub-aggregate and __rng semantics match the row engine exactly.
 /// Fails with InvalidArgument when `context.use_index` is false — this
 /// kernel has no nested-loop oracle mode; core::EvaluateGmdj routes
-/// such requests to the row engine transparently.
-Result<Table> EvalGmdjColumnar(const Table& base, const ColumnTable& detail,
-                               const GmdjOp& op,
-                               const EvalContext& context = {});
-
-/// Same, streaming a chunk-paged detail relation: the chunks' typed
-/// pages fold directly, one chunk resident at a time, with stat-based
-/// chunk pruning.
+/// such requests to the row engine transparently. Fails with the
+/// provider's error when a chunk cannot be pinned (for a resident
+/// relation, a column without a concrete type).
 Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
                                const GmdjOp& op,
                                const EvalContext& context = {});

@@ -30,8 +30,7 @@
 namespace skalla {
 
 /// Which GMDJ kernel evaluates an operator. kAuto (the default) picks
-/// the columnar engine whenever the detail relation is available in
-/// columnar form (a warmed catalog cache or a chunk-paged provider) and
+/// the columnar engine whenever the detail relation is chunk-paged and
 /// the evaluation is not an explicit nested-loop oracle request
 /// (use_index = false, which always takes the row engine — even under
 /// an explicit kColumnar request, as a transparent fallback).
@@ -66,7 +65,7 @@ struct EvalProfile {
   /// Summed per-morsel wall time; with eval_threads > 1 morsels overlap,
   /// so this exceeds the evaluation's wall time.
   std::atomic<uint64_t> morsel_us{0};
-  /// Chunks skipped by min/max stat pruning (columnar chunked path).
+  /// Chunks skipped by min/max stat pruning (columnar kernels).
   std::atomic<uint64_t> chunks_pruned{0};
   /// Column pages the kernels pinned from a chunked detail relation, the
   /// pages among them that missed the buffer pool, and the bytes those
@@ -93,11 +92,11 @@ struct EvalContext {
   /// reduction).
   bool compute_rng = false;
 
-  /// Which kernel evaluates the operator. kAuto prefers the columnar
-  /// engine whenever columnar data is available; kRow forces the
-  /// interpreted row kernel (the differential-test oracle);
-  /// kColumnar forces the vectorized kernel (building chunked columnar
-  /// views on demand for resident relations). use_index = false always
+  /// Which kernel evaluates the operator. kAuto picks the columnar
+  /// engine for chunk-paged relations and the row engine for resident
+  /// ones; kRow forces the interpreted row kernel (the differential-test
+  /// oracle); kColumnar forces the vectorized kernel (streaming the
+  /// cached chunk views of resident relations). use_index = false always
   /// falls back to the row engine regardless of this field.
   EvalEngine engine = EvalEngine::kAuto;
 
@@ -108,8 +107,8 @@ struct EvalContext {
   bool use_index = true;
 
   /// Skip chunks whose persisted min/max ChunkColumnStats prove that a
-  /// detail-side comparison atom of θ can match no row (columnar chunked
-  /// path only). Results are byte-identical with pruning on or off; the
+  /// detail-side comparison atom of θ can match no row (columnar
+  /// kernels only). Results are byte-identical with pruning on or off; the
   /// flag exists so tests can pin that.
   bool chunk_pruning = true;
 

@@ -7,13 +7,11 @@
 // else. Both engines produce byte-identical results for every condition
 // shape, so the choice is purely a performance one:
 //
-//  - kAuto (default): columnar when the relation has typed arrays ready
-//    — a warmed catalog copy (Catalog::WarmColumnar) or a chunk-paged
-//    provider whose chunks already hold typed pages. Resident relations
-//    without a warm copy take the row engine rather than paying a
-//    per-query conversion.
+//  - kAuto (default): columnar when the relation is chunk-paged
+//    (ResidentTable() == nullptr), whose chunks already hold typed
+//    pages; resident relations take the row engine.
 //  - kColumnar: always the columnar kernels; a resident relation
-//    without a warm copy streams through its provider's lazily built
+//    streams through its MemoryDataProvider's lazily built, cached
 //    chunk views.
 //  - kRow: always the row kernel (the differential-test oracle).
 //

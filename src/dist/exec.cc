@@ -40,7 +40,12 @@ class DistributedExecutor::StarQuery : public SiteLink::Query {
     SiteRoundProfile& profile = call->profile;
     Table result;
     if (spec.base != nullptr) {
-      SKALLA_ASSIGN_OR_RETURN(result, site.ExecuteBaseQuery(*spec.base));
+      PinCounts pins;
+      SKALLA_ASSIGN_OR_RETURN(result,
+                              site.ExecuteBaseQuery(*spec.base, &pins));
+      profile.pages_pinned = pins.pages;
+      profile.pages_missed = pins.misses;
+      profile.page_bytes_loaded = pins.miss_bytes;
     } else {
       Table received;
       if (spec.has_base) {
@@ -108,7 +113,7 @@ Result<Table> DistributedExecutor::Execute(const DistributedPlan& plan,
 }
 
 Status DistributedExecutor::Prepare() {
-  return sites_.Prepare(driver_.options().columnar_sites);
+  return sites_.Prepare();
 }
 
 Result<SchemaPtr> DistributedExecutor::TableSchema(

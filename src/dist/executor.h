@@ -44,12 +44,6 @@ enum class OnSiteLoss {
 /// engine (docs/EXECUTORS.md). None of the knobs changes query results or
 /// transfer byte counts.
 struct ExecutorOptions {
-  /// Sites keep columnar copies of their partitions
-  /// (Catalog::WarmColumnar), so engine-kAuto GMDJ rounds on resident
-  /// partitions take the vectorized kernels over prebuilt typed arrays.
-  /// Honored by all engines (caches are built lazily on first Execute).
-  bool columnar_sites = false;
-
   /// Which GMDJ kernel sites evaluate rounds with
   /// (EvalContext::engine; routing policy in core/evaluate.h). Results
   /// are byte-identical across engines — this is a performance knob and

@@ -1,6 +1,5 @@
 #include "dist/site.h"
 
-#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace skalla {
@@ -14,22 +13,13 @@ std::vector<int> SiteSet::ReplicaIds(size_t partition) const {
   return ids;
 }
 
-Status SiteSet::Prepare(bool columnar_sites) {
+Status SiteSet::Prepare() const {
   for (const auto& entry : replicas_) {
     if (entry.first >= primaries_.size()) {
       return Status::InvalidArgument(
           StrCat("replica registered for partition ", entry.first,
                  " but only ", primaries_.size(), " partitions exist"));
     }
-  }
-  if (!columnar_sites) return Status::OK();
-  auto warm = [](Site& site) {
-    return site.columnar_enabled() ? Status::OK()
-                                   : site.EnableColumnarCache();
-  };
-  for (Site& site : primaries_) SKALLA_RETURN_NOT_OK(warm(site));
-  for (auto& entry : replicas_) {
-    for (Site& replica : entry.second) SKALLA_RETURN_NOT_OK(warm(replica));
   }
   return Status::OK();
 }

@@ -39,10 +39,13 @@ class Site {
   int id() const { return id_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// Evaluates the base-values query against the local partition.
-  Result<Table> ExecuteBaseQuery(const BaseQuery& query) const {
+  /// Evaluates the base-values query against the local partition. The
+  /// column pages a chunk-backed scan pins are added to `pins` when
+  /// given.
+  Result<Table> ExecuteBaseQuery(const BaseQuery& query,
+                                 PinCounts* pins = nullptr) const {
     std::lock_guard<std::mutex> round(*round_mu_);
-    return query.Execute(catalog_);
+    return query.Execute(catalog_, pins);
   }
 
   /// Evaluates one GMDJ operator against the local detail partition for
@@ -58,21 +61,6 @@ class Site {
   /// The local partition of the named detail relation.
   Result<const Table*> DetailTable(std::string_view name) const {
     return catalog_.Get(name);
-  }
-
-  /// Precomputes columnar copies of every resident local relation
-  /// (Catalog::WarmColumnar), so engine-kAuto GMDJ rounds take the
-  /// vectorized kernels. Idempotent and safe to race: the first caller
-  /// through the round lock builds, the rest see the built cache and
-  /// return.
-  Status EnableColumnarCache() {
-    std::lock_guard<std::mutex> round(*round_mu_);
-    return catalog_.WarmColumnar();
-  }
-
-  bool columnar_enabled() const {
-    std::lock_guard<std::mutex> round(*round_mu_);
-    return catalog_.columnar_warm();
   }
 
  private:
@@ -111,9 +99,8 @@ class SiteSet {
     return r == 0 ? primaries_[partition] : replicas_.at(partition)[r - 1];
   }
 
-  /// Checks that every replica names an existing partition and, when
-  /// `columnar_sites` is set, builds every site's columnar cache.
-  Status Prepare(bool columnar_sites);
+  /// Checks that every replica names an existing partition.
+  Status Prepare() const;
 
  private:
   std::vector<Site> primaries_;

@@ -176,7 +176,7 @@ void FoldAccum(const CoordinatorTree& tree, const RoundAccum& accum,
 Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
                                     const QueryRun& run, ExecStats* stats) {
   SKALLA_RETURN_NOT_OK(ValidatePlan(plan, sites_.size()));
-  SKALLA_RETURN_NOT_OK(sites_.Prepare(options_.columnar_sites));
+  SKALLA_RETURN_NOT_OK(sites_.Prepare());
 
   ExecStats local_stats;
   ExecStats& st = stats == nullptr ? local_stats : *stats;

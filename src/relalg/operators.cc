@@ -110,11 +110,12 @@ Result<Table> TopK(const Table& in, const std::string& column, size_t k,
   return out;
 }
 
-Result<Table> BaseQuery::Execute(const Catalog& catalog) const {
+Result<Table> BaseQuery::Execute(const Catalog& catalog,
+                                 PinCounts* pins) const {
   if (catalog.IsChunkBacked(table)) {
     SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
                             catalog.GetProvider(table));
-    return Execute(*provider);
+    return Execute(*provider, pins);
   }
   SKALLA_ASSIGN_OR_RETURN(const Table* source, catalog.Get(table));
   if (where != nullptr) {
@@ -124,7 +125,8 @@ Result<Table> BaseQuery::Execute(const Catalog& catalog) const {
   return Project(*source, columns, distinct);
 }
 
-Result<Table> BaseQuery::Execute(const DataProvider& provider) const {
+Result<Table> BaseQuery::Execute(const DataProvider& provider,
+                                 PinCounts* pins) const {
   const SchemaPtr& schema = provider.schema();
   ExprPtr bound;
   if (where != nullptr) {
@@ -157,6 +159,7 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider) const {
   std::unordered_map<uint64_t, std::vector<size_t>> seen;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, pin_cols));
+    if (pins != nullptr) *pins += pin.counts();
     const Chunk& chunk = *pin;
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       Row row;

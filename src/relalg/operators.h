@@ -52,11 +52,14 @@ struct BaseQuery {
   /// Resident relations run σ then π over the table; chunk-backed ones
   /// stream pin → filter → project → dedup one chunk at a time, which
   /// yields the same rows in the same order (σ, π, and first-occurrence
-  /// dedup are all row-order preserving).
-  Result<Table> Execute(const Catalog& catalog) const;
+  /// dedup are all row-order preserving). The streaming path adds the
+  /// page counts of its pins to `pins` when given.
+  Result<Table> Execute(const Catalog& catalog,
+                        PinCounts* pins = nullptr) const;
 
   /// The streaming path, directly against a provider.
-  Result<Table> Execute(const DataProvider& provider) const;
+  Result<Table> Execute(const DataProvider& provider,
+                        PinCounts* pins = nullptr) const;
 
   /// Schema of the result given the source relation's schema.
   Result<SchemaPtr> OutputSchema(const Schema& input) const;

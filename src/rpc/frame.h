@@ -58,7 +58,11 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //   7  paged storage accounting: RoundProfile grows chunks_pruned,
 //      pages_pinned, pages_missed and page_bytes_loaded varints after
 //      engines_used (the column pages the round's evaluation pinned)
-inline constexpr uint8_t kProtocolVersion = 7;
+//   8  one columnar representation: the BeginPlan payload drops its
+//      leading flags byte (the removed columnar-cache switch), so it is
+//      eval_threads, query_id and engine varints; base rounds report
+//      the pages their scan pinned in RoundProfile
+inline constexpr uint8_t kProtocolVersion = 8;
 inline constexpr size_t kFrameHeaderSize = 16;
 /// The largest payload a frame may announce (1 GiB). DecodeFrameHeader
 /// rejects a longer length before anything is allocated, so a corrupt

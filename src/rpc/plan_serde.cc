@@ -360,7 +360,6 @@ Result<GmdjOp> ReadGmdjOp(ByteReader* reader) {
 
 std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req) {
   std::vector<uint8_t> out;
-  out.push_back(req.columnar_sites ? 1 : 0);
   PutVarint(&out, req.eval_threads);
   PutVarint(&out, req.query_id);
   PutVarint(&out, static_cast<uint64_t>(req.engine));
@@ -370,9 +369,7 @@ std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req) {
 Result<BeginPlanRequest> DecodeBeginPlanRequest(
     const std::vector<uint8_t>& payload) {
   ByteReader reader(payload.data(), payload.size());
-  SKALLA_ASSIGN_OR_RETURN(uint8_t flags, ReadFlags(&reader));
   BeginPlanRequest req;
-  req.columnar_sites = (flags & 1) != 0;
   SKALLA_ASSIGN_OR_RETURN(uint64_t eval_threads, reader.ReadVarint());
   req.eval_threads = static_cast<size_t>(eval_threads);
   SKALLA_ASSIGN_OR_RETURN(req.query_id, reader.ReadVarint());
@@ -381,6 +378,9 @@ Result<BeginPlanRequest> DecodeBeginPlanRequest(
     return Status::IOError("unknown eval engine");
   }
   req.engine = static_cast<EvalEngine>(engine_raw);
+  if (reader.remaining() != 0) {
+    return Status::IOError("trailing bytes after begin-plan request");
+  }
   return req;
 }
 

@@ -112,10 +112,9 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader);
 /// such state per in-flight query id, so rounds of different queries may
 /// interleave over the same connection.
 struct BeginPlanRequest {
-  bool columnar_sites = false;
   /// EvalContext::eval_threads for every round of the plan (0 = one
-  /// worker per hardware thread of the *site* host). Wire format: varint
-  /// after the flags byte (protocol version 2).
+  /// worker per hardware thread of the *site* host). Wire format: the
+  /// first varint (protocol version 8 dropped the flags byte before it).
   size_t eval_threads = 1;
   /// The query this plan state belongs to; round requests select it via
   /// TraceContext::query_id. 0 = the single anonymous pre-v5 slot. Wire

@@ -355,7 +355,6 @@ Result<std::unique_ptr<SiteLink::Query>> RpcExecutor::BeginQuery(
     const QueryRun& run, uint64_t query_id) {
   const ExecutorOptions& options = driver_.options();
   BeginPlanRequest begin;
-  begin.columnar_sites = options.columnar_sites;
   begin.eval_threads =
       run.eval_threads > 0 ? run.eval_threads : options.eval_threads;
   begin.query_id = query_id;

@@ -40,8 +40,8 @@ class RpcExecutor : public Executor, private SiteLink {
  public:
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
-  /// retry reconnects with backoff); columnar_sites, engine and
-  /// eval_threads are forwarded to the sites via kBeginPlan;
+  /// retry reconnects with backoff); engine and eval_threads are
+  /// forwarded to the sites via kBeginPlan;
   /// coordinator_shards works unchanged.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 

@@ -163,10 +163,6 @@ Result<Frame> SiteService::HandleBeginPlan(const Frame& request) {
   plan.last_input = Table();
   plan.eval_threads = req.eval_threads;
   plan.engine = req.engine;
-  if (req.columnar_sites && !site_.columnar_enabled()) {
-    Status built = site_.EnableColumnarCache();
-    if (!built.ok()) return ErrorFrame(built);
-  }
   return AckFrame();
 }
 
@@ -215,8 +211,12 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
       round_span.AddAttr("site", static_cast<int64_t>(site_.id()));
     }
     Stopwatch eval_watch;
-    base = site_.ExecuteBaseQuery(req.query);
+    PinCounts pins;
+    base = site_.ExecuteBaseQuery(req.query, &pins);
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
+    profile.pages_pinned = pins.pages;
+    profile.pages_missed = pins.misses;
+    profile.page_bytes_loaded = pins.miss_bytes;
   }
   if (base.ok()) {
     Status after = cancel.Check();

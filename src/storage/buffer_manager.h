@@ -54,6 +54,13 @@ struct PinCounts {
   uint64_t pages = 0;
   uint64_t misses = 0;
   uint64_t miss_bytes = 0;
+
+  PinCounts& operator+=(const PinCounts& other) {
+    pages += other.pages;
+    misses += other.misses;
+    miss_bytes += other.miss_bytes;
+    return *this;
+  }
 };
 
 class BufferManager;

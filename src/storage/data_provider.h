@@ -8,9 +8,10 @@
 //
 // Implementations:
 //  - MemoryDataProvider wraps an in-memory Table. Its ResidentTable()
-//    shortcut lets consumers keep the zero-overhead direct path; chunked
-//    iteration is still available (chunks are built lazily and cached)
-//    so tests can force the paged code path over memory-backed data.
+//    shortcut serves the row kernel and base queries directly; its
+//    chunk views (built lazily from the table and cached) are the
+//    resident relation's one columnar form, which the columnar kernels
+//    stream exactly like a paged relation's chunks.
 //  - ChunkFileDataProvider pages column pages from a chunk file through
 //    a shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
@@ -114,8 +115,8 @@ class MemoryDataProvider : public DataProvider {
   std::shared_ptr<const Table> table_;
   size_t chunk_rows_;
   size_t num_chunks_;
-  // Chunked views are only built when someone forces the paged path
-  // (tests); built once, cached.
+  // Chunk views, built on first pin (the columnar kernels' path over
+  // resident data) and cached.
   mutable std::mutex mu_;
   mutable std::vector<ChunkPtr> cache_;
 };

@@ -61,11 +61,7 @@ Result<HashIndex> HashIndex::BuildChunked(const DataProvider& provider,
   Row key;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, pin_columns));
-    if (pins != nullptr) {
-      pins->pages += pin.counts().pages;
-      pins->misses += pin.counts().misses;
-      pins->miss_bytes += pin.counts().miss_bytes;
-    }
+    if (pins != nullptr) *pins += pin.counts();
     const size_t base = provider.chunk_row_begin(c);
     for (size_t r = 0; r < pin->num_rows(); ++r) {
       // The key projection, in key-column order: hashing it over the

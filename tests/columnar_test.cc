@@ -1,11 +1,10 @@
 // Columnar storage and the vectorized GMDJ evaluator: exact agreement
 // with the row engine across random data (including NULLs), engine
 // routing through core::EvaluateGmdj, and end-to-end distributed
-// execution on columnar sites.
+// execution with sites on the columnar engine.
 
 #include <gtest/gtest.h>
 
-#include "columnar/column_table.h"
 #include "columnar/predicate_eval.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
@@ -37,6 +36,14 @@ Table MakeDetail(uint64_t seed, size_t rows) {
     t.AppendUnchecked(std::move(row));
   }
   return t;
+}
+
+// A resident relation's chunk views — the form the columnar kernels
+// read resident data in — at 64 rows per chunk, so the tables here span
+// several chunks.
+MemoryDataProvider ChunkViews(const Table& detail) {
+  return MemoryDataProvider(std::make_shared<const Table>(detail),
+                            /*chunk_rows=*/64);
 }
 
 TEST(ColumnTest, TypedStorageAndBoxing) {
@@ -76,19 +83,43 @@ TEST(ColumnTest, HashMatchesValueHash) {
   EXPECT_EQ(s.HashAt(0), Value("k").Hash());
 }
 
-TEST(ColumnTableTest, RoundTrip) {
+TEST(ChunkBuildTest, RoundTrip) {
+  // Boxing the rows of a built chunk reproduces the table range exactly,
+  // NULLs included — the row-identity contract every columnar path over
+  // a resident relation relies on.
   Table t = MakeDetail(1, 200);
-  ColumnTable ct = ColumnTable::FromRowTable(t).ValueOrDie();
-  EXPECT_EQ(ct.num_rows(), 200u);
-  EXPECT_EQ(ct.num_columns(), 4u);
-  Table back = ct.ToRowTable();
+  ChunkPtr chunk = Chunk::Build(t, 0, t.num_rows()).ValueOrDie();
+  EXPECT_EQ(chunk->num_rows(), 200u);
+  EXPECT_EQ(chunk->num_columns(), 4u);
+  Table back(t.schema());
+  for (size_t r = 0; r < chunk->num_rows(); ++r) {
+    back.AppendUnchecked(chunk->row(r));
+  }
   EXPECT_TRUE(back.SameRows(t));
 }
 
-TEST(ColumnTableTest, RejectsUntypedColumns) {
-  SchemaPtr schema = Schema::Make({{"x", ValueType::kNull}}).ValueOrDie();
-  Table t(schema);
-  EXPECT_TRUE(ColumnTable::FromRowTable(t).status().IsTypeError());
+TEST(EvaluateGmdjTest, ColumnarRejectsUntypedColumns) {
+  // A resident relation with a column of no concrete type has no typed
+  // chunk view: the columnar engine fails with a typed error instead of
+  // evaluating, while the row engine still serves it.
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"x", ValueType::kNull}})
+                         .ValueOrDie();
+  Table detail(schema);
+  detail.AppendUnchecked({Value(int64_t{1}), Value::Null()});
+  Table base = Project(detail, {"g"}, true).ValueOrDie();
+  Catalog catalog;
+  catalog.Register("d", detail);
+  GmdjOp op;
+  op.detail_table = "d";
+  op.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
+                                Eq(RCol("g"), BCol("g"))});
+  EvalContext context;
+  context.engine = EvalEngine::kColumnar;
+  Status status = EvaluateGmdj(base, op, catalog, context).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  context.engine = EvalEngine::kRow;
+  EXPECT_TRUE(EvaluateGmdj(base, op, catalog, context).ok());
 }
 
 TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
@@ -121,14 +152,24 @@ TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
   EXPECT_EQ(col_bits, kEngineBitColumnar);
   EXPECT_TRUE(col_out.SameRows(row_out));
 
-  // kAuto on a resident, unwarmed relation keeps the row engine...
-  EXPECT_EQ(run(EvalEngine::kAuto, true).second, kEngineBitRow);
-  // ...and flips to columnar once the catalog is warmed.
-  catalog.WarmColumnar().Check();
-  ASSERT_NE(catalog.Columnar("d"), nullptr);
+  // kAuto on a resident relation keeps the row engine...
   auto [auto_out, auto_bits] = run(EvalEngine::kAuto, true);
-  EXPECT_EQ(auto_bits, kEngineBitColumnar);
+  EXPECT_EQ(auto_bits, kEngineBitRow);
   EXPECT_TRUE(auto_out.SameRows(row_out));
+  // ...and picks the columnar kernels for the same rows behind a paged
+  // provider (a concatenation exposes no ResidentTable()).
+  Catalog paged;
+  paged.RegisterProvider(
+      "d", std::make_shared<ConcatDataProvider>(std::vector<DataProviderPtr>{
+               std::make_shared<MemoryDataProvider>(
+                   std::make_shared<const Table>(detail), 32)}));
+  EvalProfile paged_profile;
+  EvalContext paged_context;
+  paged_context.profile = &paged_profile;
+  Table paged_out =
+      EvaluateGmdj(base, op, paged, paged_context).ValueOrDie();
+  EXPECT_EQ(paged_profile.engines_used.load(), kEngineBitColumnar);
+  EXPECT_TRUE(paged_out.SameRows(row_out));
 
   // use_index = false has no columnar mode: every engine setting falls
   // back to the row engine transparently and reports it.
@@ -145,7 +186,7 @@ class VectorEvalEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(VectorEvalEquivalenceTest, MatchesRowEngine) {
   Table detail = MakeDetail(GetParam(), 150 + GetParam() * 13);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar = ChunkViews(detail);
   Table base = Project(detail, {"g", "h"}, true).ValueOrDie();
   // Add a base row with no matches.
   base.AppendUnchecked({Value(int64_t{999}), Value("none")});
@@ -188,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorEvalEquivalenceTest,
 
 TEST(VectorEvalTest, ResidualConjunctsMatchRowEngine) {
   Table detail = MakeDetail(3, 50);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar = ChunkViews(detail);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op;
   op.detail_table = "d";
@@ -204,7 +245,7 @@ TEST(VectorEvalTest, RejectsNestedLoopOracleMode) {
   // The direct kernel entry point has no nested-loop mode; only
   // core::EvaluateGmdj performs the transparent row fallback.
   Table detail = MakeDetail(3, 50);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar = ChunkViews(detail);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op;
   op.detail_table = "d";
@@ -253,10 +294,10 @@ TEST(PredicateCompileTest, PartitionInfoSuppliesRangeHints) {
   EXPECT_LT(pred.detail[0].selectivity, pred.detail[1].selectivity);
 }
 
-TEST(ColumnarSitesTest, DistributedExecutionMatches) {
+TEST(ColumnarEngineTest, DistributedExecutionMatches) {
   Table detail = MakeDetail(17, 900);
   ExecutorOptions columnar_options;
-  columnar_options.columnar_sites = true;
+  columnar_options.engine = EvalEngine::kColumnar;
   DistributedWarehouse row_dw(4);
   DistributedWarehouse col_dw(4, NetworkConfig{}, columnar_options);
   row_dw.AddTablePartitionedBy("d", detail, "g", {"h", "iv"}).Check();

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
 #include "core/local_eval.h"
@@ -176,7 +175,10 @@ TEST_P(EngineDifferentialTest, ColumnarMatchesRowOracleByteForByte) {
   const bool empty_base = seed % 7 == 5;
   Table detail = MakeDetail(seed, empty_detail ? 0 : 200 + seed * 37);
   Table base = MakeBase(detail, &rng, empty_base);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  // Resident data reaches the columnar kernels as the memory provider's
+  // chunk views; 64 rows per chunk spreads it over several chunks.
+  MemoryDataProvider resident_provider(std::make_shared<const Table>(detail),
+                                       /*chunk_rows=*/64);
   GmdjOp op = RandomOp(&rng);
 
   const std::string path =
@@ -202,7 +204,8 @@ TEST_P(EngineDifferentialTest, ColumnarMatchesRowOracleByteForByte) {
 
         // Resident columnar.
         Table resident =
-            EvalGmdjColumnar(base, columnar, op, context).ValueOrDie();
+            EvalGmdjColumnar(base, resident_provider, op, context)
+                .ValueOrDie();
         EXPECT_EQ(Bytes(resident), expected)
             << label << " threads=" << threads << "\noracle:\n"
             << oracle.ToString(30) << "columnar:\n"

@@ -1,8 +1,8 @@
 // Cross-executor consistency matrix: the same optimized plan executed by
 // every engine variant — the star (sites dispatched concurrently,
-// fragments merged in site order), columnar sites, and coordinator trees
-// of two fanouts — through the unified skalla::Executor interface,
-// crossed with coordinator_shards ∈ {1, 4}. Every combination must
+// fragments merged in site order), the star on the columnar engine, and
+// coordinator trees of two fanouts — through the unified skalla::Executor
+// interface, crossed with coordinator_shards ∈ {1, 4}. Every combination must
 // produce results identical to the centralized evaluator; sharding must
 // leave results (row order included), transfer bytes, and tuple counts
 // exactly as the sequential merge produced them; where byte accounting is
@@ -106,7 +106,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
   )").ValueOrDie();
 
   ExecutorOptions columnar;
-  columnar.columnar_sites = true;
+  columnar.engine = EvalEngine::kColumnar;
   const Variant variants[] = {
       {"star", {}, true},
       {"columnar", columnar, true},
@@ -142,6 +142,10 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
           << variant.name << ", opts " << opt_mask;
       EXPECT_EQ(seq_stats.rounds.size(), plan.stages.size() + 1)
           << variant.name << ", opts " << opt_mask;
+      if (variant.options.engine == EvalEngine::kColumnar) {
+        EXPECT_EQ(seq_stats.engines_used, kEngineBitColumnar)
+            << variant.name << ", opts " << opt_mask;
+      }
 
       if (variant.bytes_match_star) {
         EXPECT_TRUE(ExactlyEqual(seq_result, star_result))

@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
 #include "core/local_eval.h"
@@ -157,7 +156,8 @@ TEST(ParallelEvalTest, MorselRowsZeroIsRejected) {
   EvalContext context;
   context.morsel_rows = 0;
   EXPECT_TRUE(EvalGmdj(base, detail, op, context).status().IsInvalidArgument());
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail),
+                              /*chunk_rows=*/256);
   GmdjOp eligible;
   eligible.detail_table = "d";
   eligible.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
@@ -170,7 +170,8 @@ TEST(ParallelEvalTest, MorselRowsZeroIsRejected) {
 TEST(ParallelEvalTest, ColumnarKernelRejectsNestedLoopOracle) {
   Table detail = MakeDetail(5, 80);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail),
+                              /*chunk_rows=*/256);
   GmdjOp op;
   op.detail_table = "d";
   op.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
@@ -184,7 +185,8 @@ TEST(ParallelEvalTest, ColumnarKernelRejectsNestedLoopOracle) {
 TEST(ParallelEvalTest, ColumnarKernelByteIdenticalAcrossThreadCounts) {
   Table detail = MakeDetail(13, 1300);
   Table base = Project(detail, {"g", "h"}, true).ValueOrDie();
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail),
+                              /*chunk_rows=*/256);
   GmdjOp op;
   op.detail_table = "d";
   ExprPtr theta = And(Eq(RCol("g"), BCol("g")), Eq(RCol("h"), BCol("h")));
@@ -228,7 +230,6 @@ TEST(ParallelEvalTest, SiteRoutesOracleRequestsToRowEngine) {
   Catalog catalog;
   catalog.Register("d", detail);
   Site site(0, std::move(catalog));
-  ASSERT_TRUE(site.EnableColumnarCache().ok());
 
   GmdjOp op;
   op.detail_table = "d";
@@ -236,14 +237,22 @@ TEST(ParallelEvalTest, SiteRoutesOracleRequestsToRowEngine) {
       {{AggKind::kCountStar, "", "c"}, {AggKind::kSum, "iv", "si"}},
       Eq(RCol("g"), BCol("g"))});
 
+  EvalProfile columnar_profile;
   EvalContext indexed;
+  indexed.engine = EvalEngine::kColumnar;
+  indexed.profile = &columnar_profile;
   Table via_columnar = site.EvalGmdjRound(base, op, indexed).ValueOrDie();
+  EXPECT_EQ(columnar_profile.engines_used.load(), kEngineBitColumnar);
 
   // With use_index = false the columnar kernel would fail; the site must
   // route to the row engine's nested loop, which agrees on results.
+  EvalProfile oracle_profile;
   EvalContext oracle;
+  oracle.engine = EvalEngine::kColumnar;
   oracle.use_index = false;
+  oracle.profile = &oracle_profile;
   Table via_oracle = site.EvalGmdjRound(base, op, oracle).ValueOrDie();
+  EXPECT_EQ(oracle_profile.engines_used.load(), kEngineBitRow);
   EXPECT_TRUE(via_oracle.SameRows(via_columnar));
 }
 

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <filesystem>
 #include <memory>
 
 #include "data/flow_gen.h"
@@ -363,7 +366,7 @@ TEST_F(RpcExecutorTest, SiteStatsReturnsMetricsJson) {
   EXPECT_FALSE(rpc.SiteStats(kSites + 7).ok());
 }
 
-TEST_F(RpcExecutorTest, ColumnarKnobForwardsToSites) {
+TEST_F(RpcExecutorTest, EngineForwardsToSites) {
   GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
@@ -371,16 +374,78 @@ TEST_F(RpcExecutorTest, ColumnarKnobForwardsToSites) {
   DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
   Table expected = star.Execute(plan, nullptr).ValueOrDie();
 
+  // The engine ships in BeginPlan: every site evaluates every GMDJ round
+  // of the plan on the columnar kernels, over its resident partition's
+  // chunk views, and the answer stays byte-identical to the row star.
   ExecutorOptions options;
-  options.columnar_sites = true;
-  auto transport = std::make_unique<InProcessTransport>(MakeSites());
-  InProcessTransport* raw = transport.get();
-  RpcExecutor rpc(std::move(transport), options);
-  Table result = rpc.Execute(plan, nullptr).ValueOrDie();
+  options.engine = EvalEngine::kColumnar;
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()),
+                  options);
+  ExecStats stats;
+  Table result = rpc.Execute(plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
-  for (size_t i = 0; i < kSites; ++i) {
-    EXPECT_TRUE(raw->service(i)->site().columnar_enabled()) << "site " << i;
+  EXPECT_EQ(stats.engines_used, kEngineBitColumnar);
+  ASSERT_EQ(stats.rounds.size(), plan.stages.size() + 1);
+  for (size_t r = 1; r < stats.rounds.size(); ++r) {
+    const RoundStats& round = stats.rounds[r];
+    ASSERT_EQ(round.site_profiles.size(), kSites) << round.label;
+    for (const SiteRoundProfile& site : round.site_profiles) {
+      EXPECT_EQ(site.engines_used, kEngineBitColumnar)
+          << round.label << " site " << site.site_id;
+    }
   }
+}
+
+TEST_F(RpcExecutorTest, BaseRoundsReportPagesOnChunkBackedSites) {
+  // A base round over a chunk-backed partition pins and loads column
+  // pages; its per-site profile reports them, identically in the star
+  // and rpc engines. Each engine gets freshly loaded sites, so both
+  // start from cold buffer pools.
+  const std::string dir = "/tmp/skalla_rpc_executor_base_pages";
+  mkdir(dir.c_str(), 0755);
+  warehouse_->SaveChunked(dir, /*chunk_rows=*/128).Check();
+  auto chunked_sites = [&dir] {
+    std::vector<Site> sites;
+    for (size_t i = 0; i < kSites; ++i) {
+      sites.emplace_back(static_cast<int>(i),
+                         LoadSiteCatalog(dir, i).ValueOrDie());
+    }
+    return sites;
+  };
+  GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
+  DistributedPlan plan =
+      warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
+
+  DistributedExecutor star(chunked_sites(), NetworkConfig{}, {});
+  ExecStats star_stats;
+  Table expected = star.Execute(plan, &star_stats).ValueOrDie();
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(chunked_sites()), {});
+  ExecStats rpc_stats;
+  Table result = rpc.Execute(plan, &rpc_stats).ValueOrDie();
+  EXPECT_TRUE(ExactlyEqual(result, expected));
+
+  ASSERT_FALSE(star_stats.rounds.empty());
+  ASSERT_FALSE(rpc_stats.rounds.empty());
+  const RoundStats& star_base = star_stats.rounds[0];
+  const RoundStats& rpc_base = rpc_stats.rounds[0];
+  ASSERT_EQ(star_base.site_profiles.size(), kSites);
+  ASSERT_EQ(rpc_base.site_profiles.size(), kSites);
+  size_t scanned_sites = 0;
+  for (size_t i = 0; i < kSites; ++i) {
+    const SiteRoundProfile& s = star_base.site_profiles[i];
+    const SiteRoundProfile& r = rpc_base.site_profiles[i];
+    if (!(*flow_parts_)[i].empty()) {  // an empty partition has no pages
+      ++scanned_sites;
+      EXPECT_GT(s.pages_pinned, 0u) << "site " << i;
+      EXPECT_GT(s.pages_missed, 0u) << "site " << i;
+      EXPECT_GT(s.page_bytes_loaded, 0u) << "site " << i;
+    }
+    EXPECT_EQ(r.pages_pinned, s.pages_pinned) << "site " << i;
+    EXPECT_EQ(r.pages_missed, s.pages_missed) << "site " << i;
+    EXPECT_EQ(r.page_bytes_loaded, s.page_bytes_loaded) << "site " << i;
+  }
+  EXPECT_GE(scanned_sites, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RpcExecutorTest, EvalThreadsForwardsAndPreservesResults) {

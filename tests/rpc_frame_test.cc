@@ -151,14 +151,13 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV7) {
-  // v7: RoundProfile reports the chunks pruned and the column pages a
-  // round pinned, missed and loaded, after v6's engines_used
-  // (docs/RPC.md). The version byte is the wire contract for all of
-  // that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 7);
+TEST(FrameTest, ProtocolVersionIsV8) {
+  // v8: the BeginPlan payload has no flags byte, after v7's page counts
+  // in RoundProfile (docs/RPC.md). The version byte is the wire contract
+  // for all of that, so pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 8);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 7);
+  EXPECT_EQ(wire[4], 8);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {

@@ -153,24 +153,27 @@ TEST(PlanSerdeTest, GmdjOpsRoundTrip) {
 }
 
 TEST(PlanSerdeTest, BeginPlanRequestRoundTrips) {
-  for (bool columnar : {false, true}) {
-    for (size_t eval_threads : {size_t{0}, size_t{1}, size_t{8}}) {
-      for (uint64_t query_id : {uint64_t{0}, uint64_t{7}, uint64_t{1} << 40}) {
-        for (EvalEngine engine :
-             {EvalEngine::kAuto, EvalEngine::kRow, EvalEngine::kColumnar}) {
-          BeginPlanRequest request;
-          request.columnar_sites = columnar;
-          request.eval_threads = eval_threads;
-          request.query_id = query_id;
-          request.engine = engine;
-          BeginPlanRequest decoded =
-              DecodeBeginPlanRequest(EncodeBeginPlanRequest(request))
-                  .ValueOrDie();
-          EXPECT_EQ(decoded.columnar_sites, columnar);
-          EXPECT_EQ(decoded.eval_threads, eval_threads);
-          EXPECT_EQ(decoded.query_id, query_id);
-          EXPECT_EQ(decoded.engine, engine);
-        }
+  for (size_t eval_threads : {size_t{0}, size_t{1}, size_t{8}}) {
+    for (uint64_t query_id : {uint64_t{0}, uint64_t{7}, uint64_t{1} << 40}) {
+      for (EvalEngine engine :
+           {EvalEngine::kAuto, EvalEngine::kRow, EvalEngine::kColumnar}) {
+        BeginPlanRequest request;
+        request.eval_threads = eval_threads;
+        request.query_id = query_id;
+        request.engine = engine;
+        std::vector<uint8_t> payload = EncodeBeginPlanRequest(request);
+        BeginPlanRequest decoded =
+            DecodeBeginPlanRequest(payload).ValueOrDie();
+        EXPECT_EQ(decoded.eval_threads, eval_threads);
+        EXPECT_EQ(decoded.query_id, query_id);
+        EXPECT_EQ(decoded.engine, engine);
+        // v8 has no flags byte: a v7-shaped payload (a leading flags
+        // byte) and trailing bytes do not decode.
+        std::vector<uint8_t> v7 = payload;
+        v7.insert(v7.begin(), uint8_t{0});
+        EXPECT_FALSE(DecodeBeginPlanRequest(v7).ok());
+        payload.push_back(0);
+        EXPECT_FALSE(DecodeBeginPlanRequest(payload).ok());
       }
     }
   }
@@ -196,9 +199,10 @@ TEST(PlanSerdeTest, BeginPlanRequestRejectsUnknownEngine) {
 }
 
 TEST(PlanSerdeTest, BeginPlanRequestRejectsTruncatedPayload) {
-  // A version-1 BeginPlan payload (flags byte only, no eval_threads
-  // varint) must not decode silently.
+  // A payload cut short (eval_threads only, no query id or engine) must
+  // not decode silently, nor must an empty one.
   EXPECT_FALSE(DecodeBeginPlanRequest({0}).ok());
+  EXPECT_FALSE(DecodeBeginPlanRequest({}).ok());
 }
 
 TEST(PlanSerdeTest, BaseRoundRequestRoundTrips) {

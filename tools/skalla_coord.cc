@@ -24,6 +24,10 @@
 //           accepting, drains its clients, and exits (with
 //           --shutdown-sites it also asks rpc-backed sites to exit)
 //
+// Client input is bounded: a line longer than kMaxLineBytes, or a query
+// whose pending text would exceed kMaxQueryBytes, gets "ERR ..." + "END"
+// and that connection is closed. Other clients are unaffected.
+//
 // Plain enough to drive from netcat or a ten-line python client; see
 // scripts/serve_smoke.sh and docs/SERVING.md.
 
@@ -81,14 +85,26 @@ std::vector<skalla::rpc::SiteEndpoint> ParseEndpoints(
   return endpoints;
 }
 
-// One text line, '\n'-terminated ('\r' stripped). Non-OK on disconnect.
+// Bounds on what one client can make the coordinator buffer: a single
+// line, and the query text pending until its terminating blank line.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;   // 1 MiB
+constexpr size_t kMaxQueryBytes = size_t{4} << 20;  // 4 MiB
+
+// One text line, '\n'-terminated ('\r' stripped). Non-OK on disconnect;
+// OutOfRange once the line exceeds kMaxLineBytes (the rest of it stays
+// unread).
 skalla::Result<std::string> ReadLine(TcpSocket* socket) {
   std::string line;
   uint8_t byte = 0;
   while (true) {
     SKALLA_RETURN_NOT_OK(socket->RecvAll(&byte, 1, /*timeout_s=*/3600.0));
     if (byte == '\n') return line;
-    if (byte != '\r') line.push_back(static_cast<char>(byte));
+    if (byte == '\r') continue;
+    if (line.size() == kMaxLineBytes) {
+      return skalla::Status::OutOfRange(skalla::StrCat(
+          "line exceeds ", kMaxLineBytes, " bytes; closing connection"));
+    }
+    line.push_back(static_cast<char>(byte));
   }
 }
 
@@ -100,23 +116,24 @@ void Reply(TcpSocket* socket, const std::string& text) {
   (void)sent;
 }
 
+void ReplyError(TcpSocket* socket, const skalla::Status& status) {
+  Reply(socket, skalla::StrCat("ERR ", status.ToString(), "\nEND\n"));
+}
+
 void RunQuery(TcpSocket* socket, const std::string& text) {
   auto parsed = skalla::ParseQuery(text);
   if (!parsed.ok()) {
-    Reply(socket, skalla::StrCat("ERR ", parsed.status().ToString(),
-                                 "\nEND\n"));
+    ReplyError(socket, parsed.status());
     return;
   }
   auto submission = g_session->Submit(*parsed);
   if (!submission.ok()) {
-    Reply(socket, skalla::StrCat("ERR ", submission.status().ToString(),
-                                 "\nEND\n"));
+    ReplyError(socket, submission.status());
     return;
   }
   auto answer = submission->result.get();
   if (!answer.ok()) {
-    Reply(socket, skalla::StrCat("ERR ", answer.status().ToString(),
-                                 "\nEND\n"));
+    ReplyError(socket, answer.status());
     return;
   }
   answer->table.SortRows();
@@ -131,6 +148,10 @@ void HandleClient(TcpSocket socket) {
   std::string pending;
   while (!g_stop.load()) {
     auto line = ReadLine(&socket);
+    if (line.status().IsOutOfRange()) {
+      ReplyError(&socket, line.status());
+      break;
+    }
     if (!line.ok()) break;  // client went away (or .shutdown unblocked us)
     std::string_view stripped = skalla::StripWhitespace(*line);
     if (pending.empty() && !stripped.empty() && stripped[0] == '.') {
@@ -152,6 +173,12 @@ void HandleClient(TcpSocket socket) {
       continue;
     }
     if (!stripped.empty()) {
+      if (pending.size() + line->size() + 1 > kMaxQueryBytes) {
+        ReplyError(&socket, skalla::Status::OutOfRange(skalla::StrCat(
+                                "query exceeds ", kMaxQueryBytes,
+                                " bytes; closing connection")));
+        break;
+      }
       pending += *line;
       pending += '\n';
       continue;
