@@ -4,8 +4,9 @@
 // The detail relation streams through its DataProvider one chunk at a
 // time, in global row order (pin → select → fold → unpin), pinning only
 // the columns a block reads. The same path serves chunk-paged relations
-// (ChunkFileDataProvider) and resident ones (MemoryDataProvider's lazily
-// built, cached chunk views). Group maps own boxed representative keys,
+// (ChunkFileDataProvider) and resident ones (MemoryDataProvider's column
+// pages, built per column on first pin and cached). Group maps own boxed
+// representative keys,
 // so a chunk may be evicted between the build and the probe, and chunks
 // whose min/max stats prove no row can pass a comparison conjunct are
 // skipped without pinning (EvalContext::chunk_pruning) — results stay

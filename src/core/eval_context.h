@@ -95,15 +95,18 @@ struct EvalContext {
   /// Which kernel evaluates the operator. kAuto picks the columnar
   /// engine for chunk-paged relations and the row engine for resident
   /// ones; kRow forces the interpreted row kernel (the differential-test
-  /// oracle); kColumnar forces the vectorized kernel (streaming the
-  /// cached chunk views of resident relations). use_index = false always
-  /// falls back to the row engine regardless of this field.
+  /// oracle, which materializes a paged relation whole before it
+  /// evaluates); kColumnar forces the vectorized kernel (streaming the
+  /// cached column pages of resident relations). use_index = false
+  /// always falls back to the row engine regardless of this field.
   EvalEngine engine = EvalEngine::kAuto;
 
   /// Use hash-index acceleration of equality atoms. Disable to get the
   /// naive nested-loop oracle. The columnar kernel has no nested-loop
   /// mode and rejects use_index = false with InvalidArgument;
-  /// core::EvaluateGmdj routes oracle requests to the row engine.
+  /// core::EvaluateGmdj routes oracle requests to the row engine, which
+  /// materializes a paged relation first. Tests and benches use it; no
+  /// production route does.
   bool use_index = true;
 
   /// Skip chunks whose persisted min/max ChunkColumnStats prove that a

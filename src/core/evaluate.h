@@ -11,13 +11,17 @@
 //    (ResidentTable() == nullptr), whose chunks already hold typed
 //    pages; resident relations take the row engine.
 //  - kColumnar: always the columnar kernels; a resident relation
-//    streams through its MemoryDataProvider's lazily built, cached
-//    chunk views.
-//  - kRow: always the row kernel (the differential-test oracle).
+//    streams through its MemoryDataProvider's column pages, built per
+//    column on first pin and cached.
+//  - kRow: always the row kernel (the differential-test oracle), which
+//    evaluates an in-memory Table: a paged relation is materialized
+//    whole first. That is the oracle reading paged data, not a
+//    production path.
 //
 // The columnar kernels have no nested-loop oracle mode, so
 // `use_index = false` routes to the row engine under every setting —
-// the transparent fallback EXPLAIN ANALYZE surfaces via engines_used.
+// the transparent fallback EXPLAIN ANALYZE surfaces via engines_used —
+// and so, on paged data, to the same materialization.
 //
 // The engine actually used is recorded in
 // EvalContext::profile->engines_used (kEngineBitRow / kEngineBitColumnar)

@@ -1,7 +1,6 @@
 #include "core/local_eval.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -9,12 +8,9 @@
 
 #include "agg/accumulator.h"
 #include "common/macros.h"
-#include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/morsels.h"
 #include "expr/analysis.h"
-#include "obs/obs.h"
 #include "storage/hash_index.h"
 
 namespace skalla {
@@ -124,72 +120,6 @@ void EvalIndexedBlock(const Table& base, const Table& detail,
   });
 }
 
-// Chunked indexed path: chunk-outer so each detail chunk is pinned once,
-// base-morsel-inner so workers still own accumulator slices outright.
-// Candidate lists are ascending global row ids; restricting each pass to
-// the pinned chunk's row range (binary search) and visiting chunks in
-// order folds every base row's candidates in exactly the sequential
-// ascending order — byte-identical to the in-memory indexed path.
-// Profile accounting matches too: index_hits counts each candidate list
-// once (first chunk), rows_scanned sums the per-chunk slices, which
-// partition the candidate list.
-Status EvalIndexedBlockChunked(const Table& base, const DataProvider& detail,
-                               const BlockPlan& plan,
-                               const EvalContext& context, ThreadPool* pool,
-                               BlockState* state, uint8_t* matched) {
-  const size_t num_base = base.num_rows();
-  const size_t n = state->parts.size();
-  const size_t morsel_rows = context.morsel_rows;
-  CancellationToken* cancel = context.cancellation;
-  EvalProfile* profile = context.profile;
-  for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
-    if (cancel != nullptr) SKALLA_RETURN_NOT_OK(cancel->Check());
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, PinForEval(detail, ci, context));
-    const Chunk& chunk = *pin;
-    const uint32_t chunk_lo =
-        static_cast<uint32_t>(detail.chunk_row_begin(ci));
-    const uint32_t chunk_hi =
-        static_cast<uint32_t>(chunk_lo + chunk.num_rows());
-    const bool first_chunk = ci == 0;
-    RunMorsels(pool, MorselCount(num_base, morsel_rows), context,
-               [&](size_t m) {
-      if (cancel != nullptr && !cancel->Check().ok()) return;
-      const size_t lo = m * morsel_rows;
-      const size_t hi = std::min(lo + morsel_rows, num_base);
-      uint64_t hits = 0, scanned = 0, matched_pairs = 0;
-      for (size_t b = lo; b < hi; ++b) {
-        const Row& base_row = base.row(b);
-        const std::vector<uint32_t>* candidates =
-            plan.index->Lookup(base_row, plan.base_cols);
-        if (candidates == nullptr) continue;
-        if (first_chunk) hits += candidates->size();
-        auto begin = std::lower_bound(candidates->begin(), candidates->end(),
-                                      chunk_lo);
-        auto end = std::lower_bound(begin, candidates->end(), chunk_hi);
-        scanned += static_cast<uint64_t>(end - begin);
-        Accumulator* row_acc = state->acc.data() + b * n;
-        for (auto it = begin; it != end; ++it) {
-          const Row& detail_row = chunk.row(*it - chunk_lo);
-          if (plan.residual != nullptr &&
-              !plan.residual->EvalBool(&base_row, &detail_row)) {
-            continue;
-          }
-          if (matched != nullptr) matched[b] = 1;
-          ++matched_pairs;
-          UpdateRow(*state, row_acc, detail_row);
-        }
-      }
-      if (profile != nullptr) {
-        profile->index_hits.fetch_add(hits, std::memory_order_relaxed);
-        profile->rows_scanned.fetch_add(scanned, std::memory_order_relaxed);
-        profile->rows_matched.fetch_add(matched_pairs,
-                                        std::memory_order_relaxed);
-      }
-    });
-  }
-  return Status::OK();
-}
-
 // One morsel's private accumulator partials + matched bitmap
 // (nested-loop path).
 struct MorselPartial {
@@ -227,38 +157,6 @@ void FoldMorsel(const Table& base, const Table& detail, const BlockPlan& plan,
       UpdateRow(meta, row_acc, detail_row);
     }
   }
-}
-
-// Chunked fold of detail rows [lo, hi): walks the chunk segments covering
-// the range, pinning each once, with the loop order inverted to
-// detail-outer / base-inner. Each accumulator (b, p) only ever sees its
-// own updates, and those still arrive in ascending detail-row order, so
-// the resulting partial is byte-identical to FoldMorsel's.
-Status FoldMorselChunked(const Table& base, const DataProvider& detail,
-                         const BlockPlan& plan, const BlockState& meta,
-                         const EvalContext& context, size_t lo, size_t hi,
-                         MorselPartial* partial, uint64_t* matched_pairs) {
-  const size_t n = meta.parts.size();
-  const size_t num_base = base.num_rows();
-  size_t r = lo;
-  while (r < hi) {
-    const size_t ci = detail.ChunkOfRow(r);
-    const size_t chunk_lo = detail.chunk_row_begin(ci);
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, PinForEval(detail, ci, context));
-    const Chunk& chunk = *pin;
-    const size_t seg_hi = std::min(hi, chunk_lo + chunk.num_rows());
-    for (; r < seg_hi; ++r) {
-      const Row& detail_row = chunk.row(r - chunk_lo);
-      for (size_t b = 0; b < num_base; ++b) {
-        const Row& base_row = base.row(b);
-        if (!plan.theta->EvalBool(&base_row, &detail_row)) continue;
-        if (!partial->matched.empty()) partial->matched[b] = 1;
-        if (matched_pairs != nullptr) ++*matched_pairs;
-        UpdateRow(meta, partial->acc.data() + b * n, detail_row);
-      }
-    }
-  }
-  return Status::OK();
 }
 
 void MergePartial(const MorselPartial& partial, BlockState* state,
@@ -337,109 +235,39 @@ void EvalNestedLoopBlock(const Table& base, const Table& detail,
   }
 }
 
-// Chunked nested-loop path: the morsel decomposition and merge order are
-// the global ones (they depend only on morsel_rows and the relation's
-// row count, exactly as in-memory); only the per-morsel fold swaps to
-// FoldMorselChunked. Pin failures surface as the first error.
-Status EvalNestedLoopBlockChunked(const Table& base,
-                                  const DataProvider& detail,
-                                  const BlockPlan& plan,
-                                  const EvalContext& context,
-                                  ThreadPool* pool, BlockState* state,
-                                  uint8_t* matched) {
+}  // namespace
+
+Result<Table> EvalGmdj(const Table& base, const Table& detail,
+                       const GmdjOp& op, const EvalContext& context) {
+  SKALLA_RETURN_NOT_OK(ValidateEvalContext(context));
+  if (context.cancellation != nullptr) {
+    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+  }
+  const Schema& base_schema = *base.schema();
+  const Schema& detail_schema = *detail.schema();
   const size_t num_base = base.num_rows();
-  const size_t num_detail = detail.num_rows();
-  const size_t morsel_rows = context.morsel_rows;
-  CancellationToken* cancel = context.cancellation;
-  EvalProfile* profile = context.profile;
-  const size_t morsels = MorselCount(num_detail, morsel_rows);
-  const bool want_matched = matched != nullptr;
-  auto record = [&](size_t lo, size_t hi, uint64_t matched_pairs) {
-    if (profile == nullptr) return;
-    profile->rows_scanned.fetch_add(
-        static_cast<uint64_t>(num_base) * (hi - lo),
-        std::memory_order_relaxed);
-    profile->rows_matched.fetch_add(matched_pairs,
-                                    std::memory_order_relaxed);
-  };
-  std::vector<Status> morsel_status(morsels);
-  if (pool == nullptr || morsels <= 1) {
-    RunMorsels(nullptr, morsels, context, [&](size_t m) {
-      if (cancel != nullptr && !cancel->Check().ok()) return;
-      MorselPartial partial = MakePartial(*state, num_base, want_matched);
-      const size_t lo = m * morsel_rows;
-      const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
-      uint64_t matched_pairs = 0;
-      morsel_status[m] =
-          FoldMorselChunked(base, detail, plan, *state, context, lo, hi,
-                            &partial, &matched_pairs);
-      if (!morsel_status[m].ok()) return;
-      record(lo, hi, matched_pairs);
-      MergePartial(partial, state, matched);
-    });
-  } else {
-    std::vector<MorselPartial> partials(morsels);
-    RunMorsels(pool, morsels, context, [&](size_t m) {
-      if (cancel != nullptr && !cancel->Check().ok()) return;
-      partials[m] = MakePartial(*state, num_base, want_matched);
-      const size_t lo = m * morsel_rows;
-      const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
-      uint64_t matched_pairs = 0;
-      morsel_status[m] =
-          FoldMorselChunked(base, detail, plan, *state, context, lo, hi,
-                            &partials[m], &matched_pairs);
-      if (!morsel_status[m].ok()) return;
-      record(lo, hi, matched_pairs);
-    });
-    for (const Status& status : morsel_status) {
-      SKALLA_RETURN_NOT_OK(status);
-    }
-    for (const MorselPartial& partial : partials) {
-      if (partial.acc.size() != state->acc.size()) continue;
-      MergePartial(partial, state, matched);
-    }
-    return Status::OK();
-  }
-  for (const Status& status : morsel_status) {
-    SKALLA_RETURN_NOT_OK(status);
-  }
-  return Status::OK();
-}
 
-// Compiled form of one operator against fixed base/detail schemas: the
-// output schema, per-block states and plans, and the distinct index key
-// pairings in first-use order. Shared by the resident and chunked
-// evaluations so the two can never drift.
-struct CompiledOp {
-  SchemaPtr out_schema;
-  std::vector<BlockState> states;
-  std::vector<BlockPlan> plans;
-  std::vector<IndexKey> index_keys;
-};
-
-Result<CompiledOp> CompileOp(const GmdjOp& op, const Schema& base_schema,
-                             const Schema& detail_schema, size_t num_base,
-                             const EvalContext& context) {
-  CompiledOp compiled;
   SKALLA_ASSIGN_OR_RETURN(
-      compiled.out_schema,
+      SchemaPtr out_schema,
       context.sub_aggregates
           ? op.PartialSchema(base_schema, detail_schema, context.compute_rng)
           : op.OutputSchema(base_schema, detail_schema));
   if (!context.sub_aggregates && context.compute_rng) {
     SKALLA_ASSIGN_OR_RETURN(
-        compiled.out_schema,
-        compiled.out_schema->AddField(Field{kRngCountColumn,
-                                            ValueType::kInt64}));
+        out_schema,
+        out_schema->AddField(Field{kRngCountColumn, ValueType::kInt64}));
   }
 
-  compiled.states.resize(op.blocks.size());
-  compiled.plans.resize(op.blocks.size());
+  // Compile each block once: its accumulators, then either the indexed
+  // plan (probe/key columns, bound residual) or the bound full condition.
+  std::vector<BlockState> states(op.blocks.size());
+  std::vector<BlockPlan> plans(op.blocks.size());
+  std::vector<IndexKey> index_keys;  // distinct pairings, first-use order
   for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
     const GmdjBlock& block = op.blocks[bi];
-    BlockPlan& plan = compiled.plans[bi];
-    SKALLA_RETURN_NOT_OK(InitBlockState(block, detail_schema, num_base,
-                                        &compiled.states[bi]));
+    BlockPlan& plan = plans[bi];
+    SKALLA_RETURN_NOT_OK(
+        InitBlockState(block, detail_schema, num_base, &states[bi]));
     if (block.theta == nullptr) {
       return Status::InvalidArgument("GMDJ block has no condition");
     }
@@ -461,32 +289,73 @@ Result<CompiledOp> CompileOp(const GmdjOp& op, const Schema& base_schema,
             analysis.residual->Bind(&base_schema, &detail_schema));
       }
       IndexKey key{plan.base_cols, plan.detail_cols};
-      if (std::find(compiled.index_keys.begin(), compiled.index_keys.end(),
-                    key) == compiled.index_keys.end()) {
-        compiled.index_keys.push_back(std::move(key));
+      if (std::find(index_keys.begin(), index_keys.end(), key) ==
+          index_keys.end()) {
+        index_keys.push_back(std::move(key));
       }
     } else {
       SKALLA_ASSIGN_OR_RETURN(
           plan.theta, block.theta->Bind(&base_schema, &detail_schema));
     }
   }
-  return compiled;
-}
 
-// Assembles the output table from the folded block states. Identical for
-// resident and chunked evaluation.
-Result<Table> AssembleOutput(const Table& base, const GmdjOp& op,
-                             const EvalContext& context,
-                             const CompiledOp& compiled,
-                             const std::vector<uint8_t>& matched) {
-  const size_t num_base = base.num_rows();
-  Table out(compiled.out_schema);
+  // matched[b] = 1 iff RNG(b, R, θ_1 ∨ … ∨ θ_m) non-empty.
+  std::vector<uint8_t> matched;
+  if (context.compute_rng) matched.assign(num_base, 0);
+  uint8_t* matched_ptr = context.compute_rng ? matched.data() : nullptr;
+
+  const size_t threads = ResolveEvalThreads(context.eval_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+
+  // Blocks of a (possibly coalesced) operator frequently share their
+  // equality atoms; the detail-side hash index is built once per distinct
+  // key pairing — concurrently when a pool is available. This is the
+  // source of the site-computation savings the paper attributes to
+  // coalescing (Fig. 3, low cardinality). The cache key is the full
+  // (base_cols, detail_cols) pairing, not detail_cols alone: two blocks
+  // indexing the same detail columns but pairing them with differently
+  // ordered base columns must not share probe contracts.
+  std::map<IndexKey, HashIndex> index_cache;
+  std::vector<HashIndex*> index_slots;
+  index_slots.reserve(index_keys.size());
+  for (const IndexKey& key : index_keys) {
+    index_slots.push_back(&index_cache[key]);
+  }
+  auto build_index = [&](size_t i) {
+    *index_slots[i] = HashIndex::Build(detail, index_keys[i].second);
+  };
+  if (pool != nullptr && index_keys.size() > 1) {
+    pool->ParallelFor(index_keys.size(), build_index);
+  } else {
+    for (size_t i = 0; i < index_keys.size(); ++i) build_index(i);
+  }
+
+  for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
+    BlockPlan& plan = plans[bi];
+    if (plan.indexed) {
+      plan.index = &index_cache.at(IndexKey{plan.base_cols, plan.detail_cols});
+      EvalIndexedBlock(base, detail, plan, context, pool.get(), &states[bi],
+                       matched_ptr);
+    } else {
+      EvalNestedLoopBlock(base, detail, plan, context, pool.get(),
+                          &states[bi], matched_ptr);
+    }
+  }
+
+  // A fired deadline (or explicit cancel) may have skipped morsels above;
+  // the partially-folded accumulators must never surface as a result.
+  if (context.cancellation != nullptr) {
+    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+  }
+
+  Table out(out_schema);
   out.Reserve(num_base);
   for (size_t b = 0; b < num_base; ++b) {
     Row row = base.row(b);
-    row.reserve(compiled.out_schema->num_fields());
+    row.reserve(out_schema->num_fields());
     for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
-      const BlockState& state = compiled.states[bi];
+      const BlockState& state = states[bi];
       const size_t n = state.parts.size();
       const Accumulator* row_acc = state.acc.data() + b * n;
       if (context.sub_aggregates) {
@@ -511,130 +380,18 @@ Result<Table> AssembleOutput(const Table& base, const GmdjOp& op,
   return out;
 }
 
-}  // namespace
-
-Result<Table> EvalGmdj(const Table& base, const Table& detail,
-                       const GmdjOp& op, const EvalContext& context) {
-  SKALLA_RETURN_NOT_OK(ValidateEvalContext(context));
-  if (context.cancellation != nullptr) {
-    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
-  }
-  const Schema& base_schema = *base.schema();
-  const Schema& detail_schema = *detail.schema();
-  const size_t num_base = base.num_rows();
-
-  SKALLA_ASSIGN_OR_RETURN(
-      CompiledOp compiled,
-      CompileOp(op, base_schema, detail_schema, num_base, context));
-
-  // matched[b] = 1 iff RNG(b, R, θ_1 ∨ … ∨ θ_m) non-empty.
-  std::vector<uint8_t> matched;
-  if (context.compute_rng) matched.assign(num_base, 0);
-  uint8_t* matched_ptr = context.compute_rng ? matched.data() : nullptr;
-
-  const size_t threads = ResolveEvalThreads(context.eval_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  // Blocks of a (possibly coalesced) operator frequently share their
-  // equality atoms; the detail-side hash index is built once per distinct
-  // key pairing — concurrently when a pool is available. This is the
-  // source of the site-computation savings the paper attributes to
-  // coalescing (Fig. 3, low cardinality). The cache key is the full
-  // (base_cols, detail_cols) pairing, not detail_cols alone: two blocks
-  // indexing the same detail columns but pairing them with differently
-  // ordered base columns must not share probe contracts.
-  std::map<IndexKey, HashIndex> index_cache;
-  std::vector<HashIndex*> index_slots;
-  index_slots.reserve(compiled.index_keys.size());
-  for (const IndexKey& key : compiled.index_keys) {
-    index_slots.push_back(&index_cache[key]);
-  }
-  auto build_index = [&](size_t i) {
-    *index_slots[i] = HashIndex::Build(detail, compiled.index_keys[i].second);
-  };
-  if (pool != nullptr && compiled.index_keys.size() > 1) {
-    pool->ParallelFor(compiled.index_keys.size(), build_index);
-  } else {
-    for (size_t i = 0; i < compiled.index_keys.size(); ++i) build_index(i);
-  }
-
-  for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
-    BlockPlan& plan = compiled.plans[bi];
-    if (plan.indexed) {
-      plan.index = &index_cache.at(IndexKey{plan.base_cols, plan.detail_cols});
-      EvalIndexedBlock(base, detail, plan, context, pool.get(),
-                       &compiled.states[bi], matched_ptr);
-    } else {
-      EvalNestedLoopBlock(base, detail, plan, context, pool.get(),
-                          &compiled.states[bi], matched_ptr);
-    }
-  }
-
-  // A fired deadline (or explicit cancel) may have skipped morsels above;
-  // the partially-folded accumulators must never surface as a result.
-  if (context.cancellation != nullptr) {
-    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
-  }
-
-  return AssembleOutput(base, op, context, compiled, matched);
-}
-
 Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
                        const GmdjOp& op, const EvalContext& context) {
   if (const Table* resident = detail.ResidentTable(); resident != nullptr) {
     return EvalGmdj(base, *resident, op, context);
   }
-  SKALLA_RETURN_NOT_OK(ValidateEvalContext(context));
-  if (context.cancellation != nullptr) {
-    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
-  }
-  const Schema& base_schema = *base.schema();
-  const Schema& detail_schema = *detail.schema();
-  const size_t num_base = base.num_rows();
-
-  SKALLA_ASSIGN_OR_RETURN(
-      CompiledOp compiled,
-      CompileOp(op, base_schema, detail_schema, num_base, context));
-
-  std::vector<uint8_t> matched;
-  if (context.compute_rng) matched.assign(num_base, 0);
-  uint8_t* matched_ptr = context.compute_rng ? matched.data() : nullptr;
-
-  const size_t threads = ResolveEvalThreads(context.eval_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  // Index builds stream the detail chunks once per distinct key pairing;
-  // the index owns its group keys, so the chunks can be evicted between
-  // build and probe.
-  std::map<IndexKey, HashIndex> index_cache;
-  for (const IndexKey& key : compiled.index_keys) {
-    PinCounts pins;
-    SKALLA_ASSIGN_OR_RETURN(
-        index_cache[key], HashIndex::BuildChunked(detail, key.second, &pins));
-    RecordPins(pins, context);
-  }
-
-  for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
-    BlockPlan& plan = compiled.plans[bi];
-    if (plan.indexed) {
-      plan.index = &index_cache.at(IndexKey{plan.base_cols, plan.detail_cols});
-      SKALLA_RETURN_NOT_OK(
-          EvalIndexedBlockChunked(base, detail, plan, context, pool.get(),
-                                  &compiled.states[bi], matched_ptr));
-    } else {
-      SKALLA_RETURN_NOT_OK(
-          EvalNestedLoopBlockChunked(base, detail, plan, context, pool.get(),
-                                     &compiled.states[bi], matched_ptr));
-    }
-  }
-
-  if (context.cancellation != nullptr) {
-    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
-  }
-
-  return AssembleOutput(base, op, context, compiled, matched);
+  // The oracle over a paged relation materializes it once, charging the
+  // pages it pins to the profile. No production route comes here.
+  PinCounts pins;
+  SKALLA_ASSIGN_OR_RETURN(Table materialized,
+                          MaterializeProvider(detail, &pins));
+  RecordPins(pins, context);
+  return EvalGmdj(base, materialized, op, context);
 }
 
 Result<Table> EvalCentralized(const GmdjExpr& expr, const Catalog& catalog,

@@ -1,4 +1,5 @@
-// Local (single-site / centralized) evaluation of GMDJ operators.
+// Local (single-site / centralized) evaluation of GMDJ operators: the
+// row kernel, which evaluates an in-memory Table.
 //
 // Conventional groupwise/hash aggregation does not directly apply to GMDJ
 // conditions because RNG(b1, R, θ) and RNG(b2, R, θ) may overlap
@@ -22,10 +23,12 @@
 // Work decomposition depends only on morsel_rows, so results are
 // byte-identical at every eval_threads value.
 //
-// The detail relation may also be chunk-paged (a DataProvider without a
-// resident table): chunks are pinned, scanned, and unpinned one at a
-// time, and every fold sequence is arranged so the bytes match the
-// in-memory evaluation at any buffer budget (see EvalGmdj below).
+// The row kernel serves resident relations and is the reference the
+// columnar kernels (columnar/vector_eval.h) are tested against. Over a
+// chunk-paged relation it first materializes the whole relation
+// (MaterializeProvider): that is the oracle's way to read paged data,
+// not a production path — core::EvaluateGmdj sends paged relations to
+// the columnar kernels unless the caller asks for the row engine.
 
 #ifndef SKALLA_CORE_LOCAL_EVAL_H_
 #define SKALLA_CORE_LOCAL_EVAL_H_
@@ -44,10 +47,10 @@ namespace skalla {
 Result<Table> EvalGmdj(const Table& base, const Table& detail,
                        const GmdjOp& op, const EvalContext& context = {});
 
-/// Same, against a chunk-paged detail relation. Providers with a resident
-/// table take the exact in-memory path above; paged providers stream
-/// pin → scan → unpin with fold orders chosen to stay byte-identical to
-/// the in-memory evaluation at any buffer budget.
+/// Same, against a DataProvider. A provider with a resident table is
+/// evaluated in place; a paged one is materialized once and evaluated
+/// as a Table, with every page it pins charged to context.profile. The
+/// bytes equal the resident evaluation at any buffer budget.
 Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
                        const GmdjOp& op, const EvalContext& context = {});
 
@@ -55,7 +58,8 @@ Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
 /// catalog: evaluates the base query, then each GMDJ in turn with full
 /// aggregates (the sub_aggregates / compute_rng fields of `context` are
 /// overridden — a reference evaluation always finalizes). Works for both
-/// resident and chunk-backed catalog entries.
+/// resident and chunk-backed catalog entries (the latter materialized
+/// per operator).
 Result<Table> EvalCentralized(const GmdjExpr& expr, const Catalog& catalog,
                               const EvalContext& context = {});
 

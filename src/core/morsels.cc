@@ -49,11 +49,4 @@ Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
   return pin;
 }
 
-Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
-                               const EvalContext& context) {
-  Result<PinnedChunk> pin = detail.Pin(chunk);
-  if (pin.ok()) RecordPins(pin->counts(), context);
-  return pin;
-}
-
 }  // namespace skalla

@@ -4,9 +4,10 @@
 // in a site.eval.morsel span timed into skalla.site.morsel_us and
 // EvalContext::profile->morsel_us. Both kernels scheduling through one
 // runner is what keeps the per-morsel observability identical no matter
-// which engine evaluated a round. The same goes for chunk pins: both
-// kernels pin through PinForEval, which charges the pin's page counts to
-// EvalContext::profile.
+// which engine evaluated a round. The same goes for chunk pins: the
+// columnar kernels pin through PinForEval, and the row oracle's
+// materialization of a paged relation through RecordPins, so both
+// charge their page counts to EvalContext::profile.
 
 #ifndef SKALLA_CORE_MORSELS_H_
 #define SKALLA_CORE_MORSELS_H_
@@ -45,10 +46,6 @@ void RecordPins(const PinCounts& counts, const EvalContext& context);
 /// records the pin's page counts.
 Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
                                const std::vector<size_t>& columns,
-                               const EvalContext& context);
-
-/// Pins every column — the row oracle's boxed-row pin.
-Result<PinnedChunk> PinForEval(const DataProvider& detail, size_t chunk,
                                const EvalContext& context);
 
 }  // namespace skalla

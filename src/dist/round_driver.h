@@ -112,8 +112,8 @@ class SiteLink {
   /// Number of partitions (primaries; replicas are not counted).
   virtual size_t num_partitions() const = 0;
 
-  /// Readies the sites for a query (rpc: connects; in-process: warms
-  /// columnar caches) and checks the replica registrations.
+  /// Checks the replica registrations and readies the sites for a query
+  /// (rpc: connects; in-process: nothing more to do).
   virtual Status Prepare() = 0;
 
   /// Schema of a site-resident table, for coordinator schema inference.

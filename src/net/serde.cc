@@ -114,7 +114,8 @@ void WriteTable(const Table& table, std::vector<uint8_t>* out) {
 
 Result<Table> ReadTable(const uint8_t* data, size_t size) {
   ByteReader reader(data, size);
-  SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields, reader.ReadVarint());
+  // A field takes at least a name length and a type byte.
+  SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields, reader.ReadCount(2));
   if (num_fields > 1u << 20) return Status::IOError("implausible field count");
   std::vector<Field> fields;
   fields.reserve(num_fields);

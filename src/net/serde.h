@@ -59,11 +59,12 @@ class ByteReader {
     return data_[pos_++];
   }
   /// Reads a varint element count that sizes an allocation. Every
-  /// element takes at least one byte, so a count larger than the bytes
-  /// left is a corrupt or hostile length: IOError, never a huge reserve.
-  Result<uint64_t> ReadCount() {
+  /// element takes at least `min_element_bytes` bytes, so a count the
+  /// bytes left cannot hold is a corrupt or hostile length: IOError,
+  /// never a huge reserve.
+  Result<uint64_t> ReadCount(size_t min_element_bytes = 1) {
     Result<uint64_t> count = ReadVarint();
-    if (count.ok() && *count > remaining()) {
+    if (count.ok() && *count > remaining() / min_element_bytes) {
       return Status::IOError("element count exceeds the remaining bytes");
     }
     return count;

@@ -111,6 +111,13 @@ Result<uint8_t> ReadFlags(ByteReader* reader) { return reader->ReadByte(); }
 constexpr uint64_t kMaxProfileSpans = 1u << 20;
 constexpr uint64_t kMaxSpanAttrs = 1u << 12;
 
+// The fewest bytes one encoded element can take, which bounds a count by
+// the bytes left: a span is two strings and six varints, an attribute two
+// strings, a schema field a string and a type byte.
+constexpr size_t kMinSpanBytes = 8;
+constexpr size_t kMinSpanAttrBytes = 2;
+constexpr size_t kMinFieldBytes = 2;
+
 }  // namespace
 
 void WriteTraceContext(std::vector<uint8_t>* out, const TraceContext& ctx) {
@@ -187,7 +194,8 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader) {
   SKALLA_ASSIGN_OR_RETURN(profile.pages_pinned, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(profile.pages_missed, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(profile.page_bytes_loaded, reader->ReadVarint());
-  SKALLA_ASSIGN_OR_RETURN(uint64_t num_spans, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t num_spans,
+                          reader->ReadCount(kMinSpanBytes));
   if (num_spans > kMaxProfileSpans) {
     return Status::IOError("implausible profile span count");
   }
@@ -204,7 +212,8 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader) {
     SKALLA_ASSIGN_OR_RETURN(e.parent_id, reader->ReadVarint());
     SKALLA_ASSIGN_OR_RETURN(uint64_t tid, reader->ReadVarint());
     e.tid = static_cast<uint32_t>(tid);
-    SKALLA_ASSIGN_OR_RETURN(uint64_t num_attrs, reader->ReadVarint());
+    SKALLA_ASSIGN_OR_RETURN(uint64_t num_attrs,
+                            reader->ReadCount(kMinSpanAttrBytes));
     if (num_attrs > kMaxSpanAttrs) {
       return Status::IOError("implausible span attribute count");
     }
@@ -257,7 +266,8 @@ void WriteSchema(std::vector<uint8_t>* out, const Schema& schema) {
 }
 
 Result<SchemaPtr> ReadSchema(ByteReader* reader) {
-  SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields,
+                          reader->ReadCount(kMinFieldBytes));
   if (num_fields > 1u << 20) {
     return Status::IOError("implausible field count");
   }

@@ -57,6 +57,31 @@ uint64_t EstimateColumnBytes(const Column& col) {
   return bytes;
 }
 
+Status CheckChunkable(const Schema& schema) {
+  for (const Field& field : schema.fields()) {
+    if (field.type != ValueType::kInt64 &&
+        field.type != ValueType::kFloat64 &&
+        field.type != ValueType::kString) {
+      return Status::InvalidArgument(
+          StrCat("column '", field.name,
+                 "' has no concrete declared type; cannot chunk"));
+    }
+  }
+  return Status::OK();
+}
+
+Result<PagePtr> BuildColumnPage(const Table& source, size_t row_begin,
+                                size_t row_count, size_t col,
+                                ChunkColumnStats* stats) {
+  Column column(source.schema()->field(col).type);
+  column.Reserve(row_count);
+  for (size_t r = 0; r < row_count; ++r) {
+    SKALLA_RETURN_NOT_OK(column.Append(source.at(row_begin + r, col)));
+  }
+  *stats = ComputeColumnStats(column);
+  return std::make_shared<const ColumnPage>(std::move(column));
+}
+
 Result<ChunkPtr> Chunk::Build(const Table& source, size_t row_begin,
                               size_t row_count) {
   if (row_begin + row_count > source.num_rows()) {
@@ -64,26 +89,13 @@ Result<ChunkPtr> Chunk::Build(const Table& source, size_t row_begin,
         StrCat("chunk range [", row_begin, ", ", row_begin + row_count,
                ") exceeds table of ", source.num_rows(), " rows"));
   }
-  const Schema& schema = *source.schema();
-  std::vector<PagePtr> pages;
-  std::vector<ChunkColumnStats> stats;
-  pages.reserve(schema.num_fields());
-  stats.reserve(schema.num_fields());
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    const ValueType type = schema.field(c).type;
-    if (type != ValueType::kInt64 && type != ValueType::kFloat64 &&
-        type != ValueType::kString) {
-      return Status::InvalidArgument(
-          StrCat("column '", schema.field(c).name,
-                 "' has no concrete declared type; cannot chunk"));
-    }
-    Column col(type);
-    col.Reserve(row_count);
-    for (size_t r = 0; r < row_count; ++r) {
-      SKALLA_RETURN_NOT_OK(col.Append(source.at(row_begin + r, c)));
-    }
-    stats.push_back(ComputeColumnStats(col));
-    pages.push_back(std::make_shared<const ColumnPage>(std::move(col)));
+  SKALLA_RETURN_NOT_OK(CheckChunkable(*source.schema()));
+  const size_t width = source.schema()->num_fields();
+  std::vector<PagePtr> pages(width);
+  std::vector<ChunkColumnStats> stats(width);
+  for (size_t c = 0; c < width; ++c) {
+    SKALLA_ASSIGN_OR_RETURN(
+        pages[c], BuildColumnPage(source, row_begin, row_count, c, &stats[c]));
   }
   return FromPages(
       source.schema(), row_begin, row_count, std::move(pages),
@@ -105,19 +117,11 @@ ChunkPtr Chunk::FromPages(SchemaPtr schema, size_t row_begin,
   return chunk;
 }
 
-const Row& Chunk::row(size_t i) const {
-  std::call_once(rows_once_, [this] {
-    rows_.reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Row row;
-      row.reserve(pages_.size());
-      for (const PagePtr& page : pages_) {
-        row.push_back(page->column.GetValue(r));
-      }
-      rows_.push_back(std::move(row));
-    }
-  });
-  return rows_[i];
+Row Chunk::BoxRow(size_t i) const {
+  Row row;
+  row.reserve(pages_.size());
+  for (const PagePtr& page : pages_) row.push_back(page->column.GetValue(i));
+  return row;
 }
 
 }  // namespace skalla

@@ -7,25 +7,20 @@
 // paging unit: the BufferManager loads, verifies, accounts and evicts
 // pages, not whole chunks. A Chunk is therefore also a *view*: a
 // pinned chunk holds exactly the pages its consumer asked for, and
-// column(c) is valid only for those (has_column). Memory-built chunks
-// hold every page.
+// column(c) is valid only for those (has_column). Chunk::Build makes
+// every page.
 //
-// Consumers read chunks two ways:
-//  - the columnar kernel folds the typed pages directly (column(i));
-//  - the row oracle asks for boxed rows (row(local)), which needs every
-//    page; the boxed view is materialized lazily, once per view, so a
-//    pinned chunk pays the boxing cost at most once no matter how many
-//    morsels scan it.
+// The columnar kernels fold the typed pages directly (column(i)).
+// Boxing a row back into Values (BoxRow) is for MaterializeProvider and
+// tests only: no kernel reads boxed chunk rows, so nothing caches them.
 //
 // Chunks are immutable once built and always heap-allocated
-// (shared_ptr): the lazy row cache uses std::once_flag, which pins the
-// object in place.
+// (shared_ptr).
 
 #ifndef SKALLA_STORAGE_CHUNK_H_
 #define SKALLA_STORAGE_CHUNK_H_
 
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -38,8 +33,7 @@ namespace skalla {
 
 /// Default rows per chunk. Small enough that eight resident chunks of
 /// the paper's widest relation stay well under typical buffer budgets,
-/// large enough that per-chunk overheads (pin, directory entry, lazy
-/// boxing) amortize.
+/// large enough that per-chunk overheads (pin, directory entry) amortize.
 inline constexpr size_t kDefaultChunkRows = 16384;
 
 /// Per-column metadata computed when a chunk is built. Numeric columns
@@ -72,6 +66,18 @@ struct ColumnPage {
 using PagePtr = std::shared_ptr<const ColumnPage>;
 using ColumnStatsPtr = std::shared_ptr<const std::vector<ChunkColumnStats>>;
 
+/// InvalidArgument naming the first column of `schema` with no concrete
+/// declared type (int64, float64 or string): such a relation has no
+/// chunk form, not even for pins that skip that column.
+Status CheckChunkable(const Schema& schema);
+
+/// Builds the page of column `col` over rows [row_begin, row_begin +
+/// row_count) of `source` and writes its stats to `stats`. The schema
+/// must pass CheckChunkable and the range must lie in `source`.
+Result<PagePtr> BuildColumnPage(const Table& source, size_t row_begin,
+                                size_t row_count, size_t col,
+                                ChunkColumnStats* stats);
+
 class Chunk;
 using ChunkPtr = std::shared_ptr<const Chunk>;
 
@@ -82,8 +88,7 @@ class Chunk {
   explicit Chunk(Private) {}
 
   /// Builds a chunk (every page) from rows [row_begin, row_begin +
-  /// row_count) of `source`. Every column must have a concrete declared
-  /// type.
+  /// row_count) of `source`. The schema must pass CheckChunkable.
   static Result<ChunkPtr> Build(const Table& source, size_t row_begin,
                                 size_t row_count);
 
@@ -106,14 +111,15 @@ class Chunk {
   const Column& column(size_t i) const { return pages_[i]->column; }
   /// One slot per column, null where the view holds no page.
   const std::vector<PagePtr>& pages() const { return pages_; }
+  /// Column `i`'s stats. Chunk-file views know every column's; a view of
+  /// a resident relation only those of the columns it holds.
   const ChunkColumnStats& column_stats(size_t i) const {
     return (*stats_)[i];
   }
 
-  /// Boxed view of local row `i` (0-based within the chunk). The first
-  /// call materializes every row of the view; thread-safe. Requires
-  /// every column's page.
-  const Row& row(size_t i) const;
+  /// Boxes local row `i` (0-based within the chunk) into Values, one
+  /// per column. Requires every column's page.
+  Row BoxRow(size_t i) const;
 
   /// Summed ColumnPage::bytes of the pages this view holds — what the
   /// BufferManager charges for them.
@@ -126,9 +132,6 @@ class Chunk {
   std::vector<PagePtr> pages_;
   ColumnStatsPtr stats_;
   uint64_t byte_size_ = 0;
-
-  mutable std::once_flag rows_once_;
-  mutable std::vector<Row> rows_;
 };
 
 }  // namespace skalla

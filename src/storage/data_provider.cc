@@ -64,27 +64,49 @@ size_t MemoryDataProvider::chunk_rows(size_t chunk) const {
 
 Result<PinnedChunk> MemoryDataProvider::PinColumns(
     size_t chunk, const std::vector<size_t>& columns) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cache_[chunk] == nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(
-        cache_[chunk],
-        Chunk::Build(*table_, chunk_row_begin(chunk), chunk_rows(chunk)));
+  const size_t row_begin = chunk_row_begin(chunk);
+  const size_t rows = chunk_rows(chunk);
+  std::vector<PagePtr> view(schema()->num_fields());
+  ColumnStatsPtr stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    BuiltPages& built = cache_[chunk];
+    if (built.stats == nullptr) {
+      SKALLA_RETURN_NOT_OK(CheckChunkable(*schema()));
+      built.pages.resize(view.size());
+      built.stats =
+          std::make_shared<std::vector<ChunkColumnStats>>(view.size());
+    }
+    for (size_t c : columns) {
+      if (built.pages[c] == nullptr) {
+        SKALLA_ASSIGN_OR_RETURN(
+            built.pages[c],
+            BuildColumnPage(*table_, row_begin, rows, c, &(*built.stats)[c]));
+      }
+      view[c] = built.pages[c];
+    }
+    stats = built.stats;
   }
-  // Memory-backed chunks are always resident; no unpin bookkeeping.
+  // Memory-backed pages are always resident; no unpin bookkeeping.
   PinCounts counts;
   counts.pages = columns.size();
-  return PinnedChunk(cache_[chunk], nullptr, 0, chunk, counts);
+  return PinnedChunk(
+      Chunk::FromPages(schema(), row_begin, rows, std::move(view),
+                       std::move(stats)),
+      nullptr, 0, chunk, counts);
 }
 
 const ChunkColumnStats* MemoryDataProvider::chunk_column_stats(
     size_t chunk, size_t col) const {
   if (chunk >= num_chunks_) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  // Stats exist only for chunk views someone already built; building one
-  // here would defeat the point of stat-only pruning.
-  const ChunkPtr& cached = cache_[chunk];
-  if (cached == nullptr || col >= cached->num_columns()) return nullptr;
-  return &cached->column_stats(col);
+  // Stats exist only for pages someone already built; building one here
+  // would defeat the point of stat-only pruning.
+  const BuiltPages& built = cache_[chunk];
+  if (col >= built.pages.size() || built.pages[col] == nullptr) {
+    return nullptr;
+  }
+  return &(*built.stats)[col];
 }
 
 // --- ChunkFileDataProvider -------------------------------------------------
@@ -171,13 +193,15 @@ const ChunkColumnStats* ConcatDataProvider::chunk_column_stats(
 
 // --- Materialization -------------------------------------------------------
 
-Result<Table> MaterializeProvider(const DataProvider& provider) {
+Result<Table> MaterializeProvider(const DataProvider& provider,
+                                  PinCounts* pins) {
   Table out(provider.schema());
   out.Reserve(provider.num_rows());
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
+    if (pins != nullptr) *pins += pin.counts();
     for (size_t r = 0; r < pin->num_rows(); ++r) {
-      out.AppendUnchecked(pin->row(r));
+      out.AppendUnchecked(pin->BoxRow(r));
     }
   }
   return out;

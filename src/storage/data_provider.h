@@ -9,9 +9,10 @@
 // Implementations:
 //  - MemoryDataProvider wraps an in-memory Table. Its ResidentTable()
 //    shortcut serves the row kernel and base queries directly; its
-//    chunk views (built lazily from the table and cached) are the
-//    resident relation's one columnar form, which the columnar kernels
-//    stream exactly like a paged relation's chunks.
+//    column pages (built from the table the first time a pin asks for
+//    that column of that chunk, then cached) are the resident relation's
+//    one columnar form, which the columnar kernels stream exactly like a
+//    paged relation's chunks.
 //  - ChunkFileDataProvider pages column pages from a chunk file through
 //    a shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
@@ -21,8 +22,9 @@
 // Row-identity contract: chunk c covers global rows
 // [chunk_row_begin(c), chunk_row_begin(c) + chunk_rows(c)), chunks are
 // ordered and gap-free, and boxing chunk rows yields exactly the rows of
-// the equivalent in-memory table in the same order. Every chunked kernel
-// path relies on this to stay byte-identical to the in-memory one.
+// the equivalent in-memory table in the same order. The columnar kernels
+// rely on this to stay byte-identical to the row oracle, and
+// MaterializeProvider to rebuild the relation.
 
 #ifndef SKALLA_STORAGE_DATA_PROVIDER_H_
 #define SKALLA_STORAGE_DATA_PROVIDER_H_
@@ -52,13 +54,12 @@ class DataProvider {
 
   /// Pins columns `columns` (strictly ascending schema indexes) of chunk
   /// `chunk` resident and returns the handle; column(c) of the pinned
-  /// chunk is valid for exactly those columns (memory-backed providers
-  /// may hold more). Thread-safe.
+  /// chunk is valid for exactly those columns. Thread-safe.
   Result<PinnedChunk> Pin(size_t chunk,
                           const std::vector<size_t>& columns) const;
 
-  /// Pins every column of chunk `chunk` — what the row oracle's boxed
-  /// rows (Chunk::row) and MaterializeProvider need.
+  /// Pins every column of chunk `chunk` — what boxed rows
+  /// (Chunk::BoxRow) and MaterializeProvider need.
   Result<PinnedChunk> Pin(size_t chunk) const;
 
   /// The whole relation as one resident Table when this provider is
@@ -68,8 +69,8 @@ class DataProvider {
 
   /// Per-column min/max stats of chunk `chunk` when they are available
   /// WITHOUT pinning the chunk (chunk files persist them in the footer
-  /// directory; memory providers only know them once a chunk view has
-  /// been built). nullptr means unknown — consumers must treat the chunk
+  /// directory; memory providers only know them once that column's page
+  /// has been built). nullptr means unknown — consumers must treat the chunk
   /// as unprunable. Thread-safe.
   virtual const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                                      size_t col) const {
@@ -107,18 +108,25 @@ class MemoryDataProvider : public DataProvider {
                                              size_t col) const override;
 
  protected:
-  /// Memory-backed chunks are always whole: every column is valid.
+  /// Builds the pages of `columns` not built yet, then returns a view of
+  /// exactly those pages. Memory-backed pages are never evicted.
   Result<PinnedChunk> PinColumns(
       size_t chunk, const std::vector<size_t>& columns) const override;
 
  private:
+  // The pages of one chunk built so far (a null slot is a column no pin
+  // has asked for) and their stats, valid where the page is. The stats
+  // vector is sized once and shared by every view of the chunk.
+  struct BuiltPages {
+    std::vector<PagePtr> pages;
+    std::shared_ptr<std::vector<ChunkColumnStats>> stats;
+  };
+
   std::shared_ptr<const Table> table_;
   size_t chunk_rows_;
   size_t num_chunks_;
-  // Chunk views, built on first pin (the columnar kernels' path over
-  // resident data) and cached.
   mutable std::mutex mu_;
-  mutable std::vector<ChunkPtr> cache_;
+  mutable std::vector<BuiltPages> cache_;
 };
 
 /// Pages the column pages of one chunk file through a shared
@@ -194,8 +202,11 @@ class ConcatDataProvider : public DataProvider {
 
 /// Boxes the provider's whole relation into an in-memory Table (chunk by
 /// chunk; peak residency is one chunk above the buffer budget). The
-/// materialization of last resort for consumers with no chunked path.
-Result<Table> MaterializeProvider(const DataProvider& provider);
+/// materialization of last resort for consumers with no chunked path,
+/// such as the row oracle over a paged relation. The pins' page counts
+/// are added to `pins` when given.
+Result<Table> MaterializeProvider(const DataProvider& provider,
+                                  PinCounts* pins = nullptr);
 
 }  // namespace skalla
 

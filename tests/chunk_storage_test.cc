@@ -94,7 +94,7 @@ TEST_F(ChunkStorageTest, ChunkFileRoundTrip) {
     ChunkPtr chunk = file->ReadChunk(c).ValueOrDie();
     EXPECT_EQ(chunk->row_begin(), c * 128);
     for (size_t r = 0; r < chunk->num_rows(); ++r) {
-      rebuilt.AppendUnchecked(chunk->row(r));
+      rebuilt.AppendUnchecked(chunk->BoxRow(r));
     }
   }
   EXPECT_EQ(TableBytes(rebuilt), TableBytes(original));
@@ -487,17 +487,15 @@ Result<Table> EvalThroughKernels(const GmdjExpr& query,
 
 // Column pages, not chunks: a kernel run over a chunk file loads exactly
 // the pages of the columns the query references, and the EvalProfile
-// accounts the pages the kernels themselves pinned and loaded.
+// accounts the pages the kernels themselves pinned and loaded. The row
+// oracle (kRow) reads a paged relation by materializing it, so it pins
+// every column, and its profile says so.
 TEST_F(ChunkStorageTest, KernelsLoadOnlyReferencedColumnPages) {
   Table detail = MakeWideDetail(3);
   const std::string path = Path("pages.skc");
   const size_t chunk_rows = 64;
   WriteChunkFile(detail, path, chunk_rows).Check();
 
-  auto buffers = std::make_shared<BufferManager>(0);  // unlimited
-  Catalog paged;
-  paged.RegisterProvider(
-      "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
   const size_t num_chunks = (detail.num_rows() - 1) / chunk_rows + 1;
   uint64_t g_bytes = 0, v_bytes = 0;
   for (size_t c = 0; c < num_chunks; ++c) {
@@ -510,27 +508,50 @@ TEST_F(ChunkStorageTest, KernelsLoadOnlyReferencedColumnPages) {
     v_bytes += EstimateColumnBytes(built->column(2));
   }
 
-  EvalProfile profile;
-  EvalContext context;
-  context.profile = &profile;
-  Table got =
-      EvalThroughKernels(ThreePathQuery(), paged, context).ValueOrDie();
-
   Catalog eager;
   eager.Register("d", detail);
-  EXPECT_EQ(TableBytes(got),
-            TableBytes(EvalCentralized(ThreePathQuery(), eager).ValueOrDie()));
-  EXPECT_EQ(profile.engines_used.load(), kEngineBitColumnar);
+  const GmdjExpr query = ThreePathQuery();
+  const std::vector<uint8_t> expected =
+      TableBytes(EvalCentralized(query, eager).ValueOrDie());
 
-  // The base scan loads g; the kernels load v; nothing loads name, pad or
-  // note, and nothing loads a page twice.
-  BufferStats stats = buffers->stats();
-  EXPECT_EQ(stats.misses, 2 * num_chunks);
-  EXPECT_EQ(stats.miss_bytes, g_bytes + v_bytes);
-  EXPECT_EQ(profile.pages_missed.load(), num_chunks);
-  EXPECT_EQ(profile.page_bytes_loaded.load(), v_bytes);
-  EXPECT_GT(profile.pages_pinned.load(), 2 * num_chunks);
-  EXPECT_GT(profile.chunks_pruned.load(), 0u);
+  for (EvalEngine engine : {EvalEngine::kAuto, EvalEngine::kRow}) {
+    auto buffers = std::make_shared<BufferManager>(0);  // unlimited
+    Catalog paged;
+    paged.RegisterProvider(
+        "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
+    EvalProfile profile;
+    EvalContext context;
+    context.engine = engine;
+    context.profile = &profile;
+    const std::string label = StrCat("engine=", EvalEngineName(engine));
+    Table got = EvalThroughKernels(query, paged, context).ValueOrDie();
+    EXPECT_EQ(TableBytes(got), expected) << label;
+
+    BufferStats stats = buffers->stats();
+    if (engine == EvalEngine::kAuto) {
+      EXPECT_EQ(profile.engines_used.load(), kEngineBitColumnar);
+      // The base scan loads g; the kernels load v; nothing loads name,
+      // pad or note, and nothing loads a page twice.
+      EXPECT_EQ(stats.misses, 2 * num_chunks);
+      EXPECT_EQ(stats.miss_bytes, g_bytes + v_bytes);
+      EXPECT_EQ(profile.pages_missed.load(), num_chunks);
+      EXPECT_EQ(profile.page_bytes_loaded.load(), v_bytes);
+      EXPECT_GT(profile.pages_pinned.load(), 2 * num_chunks);
+      EXPECT_GT(profile.chunks_pruned.load(), 0u);
+    } else {
+      EXPECT_EQ(profile.engines_used.load(), kEngineBitRow);
+      // Each operator materializes the relation: every column of every
+      // chunk is pinned three times, and every page the base scan did
+      // not load misses once.
+      const size_t width = detail.schema()->num_fields();
+      EXPECT_EQ(profile.pages_pinned.load(),
+                query.ops.size() * width * num_chunks);
+      EXPECT_EQ(profile.pages_missed.load(), (width - 1) * num_chunks);
+      EXPECT_EQ(stats.misses, width * num_chunks);
+      EXPECT_EQ(profile.page_bytes_loaded.load(), stats.miss_bytes - g_bytes);
+      EXPECT_EQ(profile.chunks_pruned.load(), 0u);
+    }
+  }
 }
 
 // The tentpole contract: evaluating through a paged provider is

@@ -573,6 +573,53 @@ TEST(PlanSerdeTest, HostileCatalogEntryCountIsIOError) {
   EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
 }
 
+// Counts that pass their caps but not the bytes left must fail on the
+// count itself, before they size a reserve: a 21-byte round result
+// announcing 2^20 spans (136-byte TraceEvents each) once reserved
+// ~136 MiB before failing on its first span.
+bool FailsOnCount(const Status& status) {
+  return status.IsIOError() &&
+         status.ToString().find("exceeds the remaining bytes") !=
+             std::string::npos;
+}
+
+TEST(PlanSerdeTest, HostileProfileSpanCountIsIOError) {
+  std::vector<uint8_t> payload = EncodeRoundResult(RoundProfile{}, nullptr);
+  payload.pop_back();                       // the zero span count
+  PutVarint(&payload, uint64_t{1} << 20);   // kMaxProfileSpans
+  ASSERT_EQ(payload.size(), 21u);
+  Result<RoundResult> decoded = DecodeRoundResult(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(FailsOnCount(decoded.status())) << decoded.status().ToString();
+}
+
+TEST(PlanSerdeTest, HostileAttributeAndFieldCountsAreIOError) {
+  // One span of empty strings and zeros whose attribute count is
+  // kMaxSpanAttrs, with nothing after it.
+  RoundProfile profile;
+  profile.spans.emplace_back();
+  std::vector<uint8_t> spans;
+  WriteRoundProfile(&spans, profile);
+  spans.pop_back();  // the zero attribute count
+  PutVarint(&spans, uint64_t{1} << 12);
+  ByteReader span_reader(spans.data(), spans.size());
+  Result<RoundProfile> decoded_profile = ReadRoundProfile(&span_reader);
+  ASSERT_FALSE(decoded_profile.ok());
+  EXPECT_TRUE(FailsOnCount(decoded_profile.status()))
+      << decoded_profile.status().ToString();
+
+  // A schema, and a table payload, announcing 2^20 fields in 3 bytes.
+  std::vector<uint8_t> fields;
+  PutVarint(&fields, uint64_t{1} << 20);
+  ByteReader schema_reader(fields.data(), fields.size());
+  Result<SchemaPtr> schema = ReadSchema(&schema_reader);
+  ASSERT_FALSE(schema.ok());
+  EXPECT_TRUE(FailsOnCount(schema.status())) << schema.status().ToString();
+  Result<Table> table = ReadTable(fields.data(), fields.size());
+  ASSERT_FALSE(table.ok());
+  EXPECT_TRUE(FailsOnCount(table.status())) << table.status().ToString();
+}
+
 }  // namespace
 }  // namespace rpc
 }  // namespace skalla
