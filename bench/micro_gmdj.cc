@@ -9,14 +9,14 @@
 //   --engine=auto|row|columnar
 //                      EvalContext::engine for the BM_GmdjEvaluate bench
 //                      (the core::EvaluateGmdj routing path over a
-//                      resident relation: auto and row run the row
-//                      kernel, columnar the vectorized kernels over the
-//                      relation's cached chunk views). On startup
+//                      resident relation: row runs the row kernel, auto
+//                      and columnar the vectorized kernels over the
+//                      relation's cached column pages). On startup
 //                      the binary prints a `gmdj digest:` line — the
 //                      FNV-1a hash of a deterministic evaluation's
 //                      serialized bytes under the selected engine — so a
-//                      smoke job can run --engine=row and
-//                      --engine=columnar and assert identical bytes.
+//                      smoke job can run every engine and assert
+//                      identical bytes.
 //   --trace-out=PATH / --metrics-out=PATH   (bench_common.h ObsSession)
 //
 // The GMDJ benches record each evaluation into the skalla.site.eval_us
@@ -118,7 +118,8 @@ BENCHMARK(BM_GmdjColumnar)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_GmdjEvaluate(benchmark::State& state) {
   // The routing path: core::EvaluateGmdj against a resident catalog,
-  // honoring --engine (kAuto picks the row kernel here).
+  // honoring --engine (kAuto picks the columnar kernels here, as
+  // kColumnar does).
   Table detail = MakeDetail(static_cast<size_t>(state.range(0)), 256);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   Catalog catalog;

@@ -139,6 +139,21 @@ uint64_t Column::HashAt(size_t i) const {
   }
 }
 
+bool Column::EqualsAt(size_t i, const Value& v) const {
+  if (IsNull(i) || v.is_null()) return IsNull(i) && v.is_null();
+  switch (type_) {
+    case ValueType::kInt64:
+      if (v.is_int64()) return ints_[i] == v.int64();
+      return v.is_float64() && static_cast<double>(ints_[i]) == v.float64();
+    case ValueType::kFloat64:
+      return v.is_numeric() && doubles_[i] == v.AsDouble();
+    case ValueType::kString:
+      return v.is_string() && strings_[i] == v.str();
+    default:
+      return false;
+  }
+}
+
 void Column::Reserve(size_t n) {
   valid_.reserve(n);
   switch (type_) {

@@ -52,6 +52,11 @@ class Column {
   /// Hash of cell i, consistent with Value::Hash of the boxed value.
   uint64_t HashAt(size_t i) const;
 
+  /// GetValue(i).Equals(v) without boxing cell i: NULL equals only NULL,
+  /// INT64 and FLOAT64 compare numerically across types, NaN equals
+  /// nothing, and a STRING equals only an equal STRING.
+  bool EqualsAt(size_t i, const Value& v) const;
+
   void Reserve(size_t n);
 
  private:

@@ -179,22 +179,22 @@ int64_t LookupGroup(const GroupMap& groups, const Row& base_row,
   return -1;
 }
 
-// Finds or creates the group of chunk-local row `r`; returns its id.
+// Finds or creates the group of chunk-local row `r`; returns its id. The
+// bucket's keys are compared against the typed cells in place; the key
+// is boxed only when it opens a new group.
 int64_t AssignGroup(GroupMap* groups, const Chunk& chunk,
                     const std::vector<size_t>& key_cols, size_t r,
-                    Row* scratch, bool collect_rows) {
+                    bool collect_rows) {
   uint64_t h = 0x5ca11aULL;  // Must match HashRowKey's seed.
   for (size_t c : key_cols) {
     h = HashCombine(h, chunk.column(c).HashAt(r));
   }
-  scratch->clear();
-  for (size_t c : key_cols) scratch->push_back(chunk.column(c).GetValue(r));
   std::vector<uint32_t>& bucket = groups->buckets[h];
   for (uint32_t g : bucket) {
     const Row& key = groups->keys[g];
     bool equal = true;
     for (size_t c = 0; c < key.size(); ++c) {
-      if (!(*scratch)[c].Equals(key[c])) {
+      if (!chunk.column(key_cols[c]).EqualsAt(r, key[c])) {
         equal = false;
         break;
       }
@@ -203,7 +203,9 @@ int64_t AssignGroup(GroupMap* groups, const Chunk& chunk,
   }
   int64_t group = static_cast<int64_t>(groups->keys.size());
   bucket.push_back(static_cast<uint32_t>(group));
-  groups->keys.push_back(*scratch);
+  Row& key = groups->keys.emplace_back();
+  key.reserve(key_cols.size());
+  for (size_t c : key_cols) key.push_back(chunk.column(c).GetValue(r));
   if (collect_rows) groups->group_rows.emplace_back();
   return group;
 }
@@ -426,7 +428,6 @@ Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
   GroupMap& groups = exec->groups;
   groups.row_group.resize(detail.num_rows());
   std::vector<AggPart>& parts = exec->compiled.parts;
-  Row scratch;
   std::vector<uint8_t> sel;
   for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
     if (context.cancellation != nullptr) {
@@ -454,7 +455,7 @@ Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
         groups.row_group[row_base + r] = kNoSlot;
         continue;
       }
-      int64_t group = AssignGroup(&groups, chunk, key_cols, r, &scratch,
+      int64_t group = AssignGroup(&groups, chunk, key_cols, r,
                                   /*collect_rows=*/false);
       groups.row_group[row_base + r] = static_cast<uint32_t>(group);
     }
@@ -497,7 +498,6 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
   GroupMap& groups = exec->groups;
   std::vector<uint8_t> chunk_any(detail.num_chunks(), 0);
   {
-    Row scratch;
     std::vector<uint8_t> sel;
     for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
       if (context.cancellation != nullptr) {
@@ -519,7 +519,7 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
       }
       for (size_t r = 0; r < chunk.num_rows(); ++r) {
         if (selp != nullptr && !selp[r]) continue;
-        int64_t g = AssignGroup(&groups, chunk, key_cols, r, &scratch,
+        int64_t g = AssignGroup(&groups, chunk, key_cols, r,
                                 /*collect_rows=*/true);
         groups.group_rows[static_cast<size_t>(g)].push_back(
             static_cast<uint32_t>(row_base + r));

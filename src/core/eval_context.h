@@ -30,8 +30,9 @@
 namespace skalla {
 
 /// Which GMDJ kernel evaluates an operator. kAuto (the default) picks
-/// the columnar engine whenever the detail relation is chunk-paged and
-/// the evaluation is not an explicit nested-loop oracle request
+/// the columnar engine whenever the detail relation has a chunk form —
+/// resident or paged, every column of a concrete type — and the
+/// evaluation is not an explicit nested-loop oracle request
 /// (use_index = false, which always takes the row engine — even under
 /// an explicit kColumnar request, as a transparent fallback).
 enum class EvalEngine : uint8_t {
@@ -93,12 +94,13 @@ struct EvalContext {
   bool compute_rng = false;
 
   /// Which kernel evaluates the operator. kAuto picks the columnar
-  /// engine for chunk-paged relations and the row engine for resident
-  /// ones; kRow forces the interpreted row kernel (the differential-test
-  /// oracle, which materializes a paged relation whole before it
-  /// evaluates); kColumnar forces the vectorized kernel (streaming the
-  /// cached column pages of resident relations). use_index = false
-  /// always falls back to the row engine regardless of this field.
+  /// engine for every relation with a chunk form (paged chunks, or the
+  /// cached column pages of a resident relation) and the row engine for
+  /// a resident relation with an untyped column; kRow forces the
+  /// interpreted row kernel (the differential-test oracle, which
+  /// materializes a paged relation whole before it evaluates);
+  /// kColumnar forces the vectorized kernel. use_index = false always
+  /// falls back to the row engine regardless of this field.
   EvalEngine engine = EvalEngine::kAuto;
 
   /// Use hash-index acceleration of equality atoms. Disable to get the

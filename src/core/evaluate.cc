@@ -5,6 +5,7 @@
 #include "columnar/vector_eval.h"
 #include "common/macros.h"
 #include "core/local_eval.h"
+#include "storage/chunk.h"
 
 namespace skalla {
 
@@ -26,7 +27,7 @@ Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
   const bool want_columnar =
       context.engine == EvalEngine::kColumnar ||
       (context.engine == EvalEngine::kAuto &&
-       provider->ResidentTable() == nullptr);
+       CheckChunkable(*provider->schema()).ok());
   if (want_columnar && context.use_index) {
     RecordEngine(context, kEngineBitColumnar);
     return EvalGmdjColumnar(base, *provider, op, context);

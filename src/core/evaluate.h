@@ -7,12 +7,14 @@
 // else. Both engines produce byte-identical results for every condition
 // shape, so the choice is purely a performance one:
 //
-//  - kAuto (default): columnar when the relation is chunk-paged
-//    (ResidentTable() == nullptr), whose chunks already hold typed
-//    pages; resident relations take the row engine.
-//  - kColumnar: always the columnar kernels; a resident relation
-//    streams through its MemoryDataProvider's column pages, built per
-//    column on first pin and cached.
+//  - kAuto (default): the columnar kernels whenever the relation has a
+//    chunk form (CheckChunkable: every column has a concrete type).
+//    Paged relations stream their chunks' typed pages; resident ones
+//    stream their MemoryDataProvider's column pages, built per pinned
+//    column on first pin and cached. A resident relation with an
+//    untyped column has no chunk form and takes the row engine.
+//  - kColumnar: always the columnar kernels; a relation with no chunk
+//    form fails with InvalidArgument.
 //  - kRow: always the row kernel (the differential-test oracle), which
 //    evaluates an in-memory Table: a paged relation is materialized
 //    whole first. That is the oracle reading paged data, not a

@@ -1,11 +1,13 @@
 #include "relalg/operators.h"
 
 #include <algorithm>
-
 #include <unordered_map>
 
+#include "columnar/column.h"
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "storage/chunk.h"
 #include "types/row.h"
 
 namespace skalla {
@@ -112,22 +114,23 @@ Result<Table> TopK(const Table& in, const std::string& column, size_t k,
 
 Result<Table> BaseQuery::Execute(const Catalog& catalog,
                                  PinCounts* pins) const {
-  if (catalog.IsChunkBacked(table)) {
-    SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
-                            catalog.GetProvider(table));
-    return Execute(*provider, pins);
-  }
-  SKALLA_ASSIGN_OR_RETURN(const Table* source, catalog.Get(table));
-  if (where != nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(Table filtered, Select(*source, where));
-    return Project(filtered, columns, distinct);
-  }
-  return Project(*source, columns, distinct);
+  SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
+                          catalog.GetProvider(table));
+  return Execute(*provider, pins);
 }
 
 Result<Table> BaseQuery::Execute(const DataProvider& provider,
                                  PinCounts* pins) const {
   const SchemaPtr& schema = provider.schema();
+  // A relation with an untyped column has no column pages (every pin
+  // fails CheckChunkable); only a resident one can hold such a column,
+  // and σ then π over its rows answers the same query.
+  if (const Table* resident = provider.ResidentTable();
+      resident != nullptr && !CheckChunkable(*schema).ok()) {
+    if (where == nullptr) return Project(*resident, columns, distinct);
+    SKALLA_ASSIGN_OR_RETURN(Table filtered, Select(*resident, where));
+    return Project(filtered, columns, distinct);
+  }
   ExprPtr bound;
   if (where != nullptr) {
     SKALLA_ASSIGN_OR_RETURN(bound, where->Bind(nullptr, schema.get()));
@@ -154,38 +157,46 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider,
                  pin_cols.end());
   Row scratch(schema->num_fields());
   Table out(schema->Project(indices));
-  // First-occurrence dedup, identical to Distinct() but applied as rows
-  // stream so the filtered/projected intermediate never materializes.
+  // First-occurrence dedup, identical to Distinct() over the projection
+  // but applied as rows stream: a candidate's typed cells are hashed and
+  // compared against the kept rows in place, and only kept rows are
+  // boxed, so the filtered/projected intermediate never materializes.
   std::unordered_map<uint64_t, std::vector<size_t>> seen;
+  std::vector<const Column*> keys(indices.size());
+  auto kept_equals = [&](size_t r, const Row& kept) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (!keys[k]->EqualsAt(r, kept[k])) return false;
+    }
+    return true;
+  };
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, pin_cols));
     if (pins != nullptr) *pins += pin.counts();
     const Chunk& chunk = *pin;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      keys[k] = &chunk.column(indices[k]);
+    }
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      Row row;
-      if (bound == nullptr) {
-        row.reserve(indices.size());
-        for (size_t idx : indices) row.push_back(chunk.column(idx).GetValue(r));
-      } else {
+      if (bound != nullptr) {
         for (size_t idx : pin_cols) {
           scratch[idx] = chunk.column(idx).GetValue(r);
         }
         if (!bound->EvalBool(nullptr, &scratch)) continue;
-        row = ProjectRow(scratch, indices);
       }
       if (distinct) {
-        uint64_t h = HashRow(row);
+        uint64_t h = 0x5ca11aULL;  // HashRow's seed.
+        for (const Column* key : keys) h = HashCombine(h, key->HashAt(r));
         std::vector<size_t>& bucket = seen[h];
-        bool duplicate = false;
-        for (size_t prev : bucket) {
-          if (RowEquals(out.row(prev), row)) {
-            duplicate = true;
-            break;
-          }
+        if (std::any_of(bucket.begin(), bucket.end(), [&](size_t prev) {
+              return kept_equals(r, out.row(prev));
+            })) {
+          continue;
         }
-        if (duplicate) continue;
         bucket.push_back(out.num_rows());
       }
+      Row row;
+      row.reserve(keys.size());
+      for (const Column* key : keys) row.push_back(key->GetValue(r));
       out.AppendUnchecked(std::move(row));
     }
   }

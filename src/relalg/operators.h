@@ -49,15 +49,18 @@ struct BaseQuery {
   bool distinct = true;
   ExprPtr where;  // Optional; references r.<col> of `table`.
 
-  /// Resident relations run σ then π over the table; chunk-backed ones
-  /// stream pin → filter → project → dedup one chunk at a time, which
-  /// yields the same rows in the same order (σ, π, and first-occurrence
-  /// dedup are all row-order preserving). The streaming path adds the
-  /// page counts of its pins to `pins` when given.
+  /// Streams the relation's provider — a paged relation's chunks or a
+  /// resident one's cached column pages — pin → filter → project → dedup
+  /// one chunk at a time, which yields exactly the rows, in the same
+  /// order, of σ then π over the table (σ, π, and first-occurrence dedup
+  /// are all row-order preserving). The dedup hashes and compares typed
+  /// cells and boxes only the rows it keeps. A resident relation with an
+  /// untyped column has no column pages and runs σ then π over its rows.
+  /// Adds the page counts of its pins to `pins` when given.
   Result<Table> Execute(const Catalog& catalog,
                         PinCounts* pins = nullptr) const;
 
-  /// The streaming path, directly against a provider.
+  /// The same, directly against a provider.
   Result<Table> Execute(const DataProvider& provider,
                         PinCounts* pins = nullptr) const;
 

@@ -44,11 +44,6 @@ bool Catalog::Contains(std::string_view name) const {
   return tables_.find(std::string(name)) != tables_.end();
 }
 
-bool Catalog::IsChunkBacked(std::string_view name) const {
-  auto it = tables_.find(std::string(name));
-  return it != tables_.end() && it->second.table == nullptr;
-}
-
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

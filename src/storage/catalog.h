@@ -6,8 +6,8 @@
 // table stays directly reachable through Get) or chunk-backed
 // (RegisterProvider with a paged DataProvider — Get fails and consumers
 // go through GetProvider, which works for both kinds). Evaluation code
-// should prefer GetProvider and take the ResidentTable() fast path when
-// it is non-null.
+// reads through GetProvider: the columnar kernels and base queries
+// stream either kind's column pages.
 
 #ifndef SKALLA_STORAGE_CATALOG_H_
 #define SKALLA_STORAGE_CATALOG_H_
@@ -46,9 +46,6 @@ class Catalog {
   Result<const DataProvider*> GetProvider(std::string_view name) const;
 
   bool Contains(std::string_view name) const;
-
-  /// Whether `name` is registered without a resident table.
-  bool IsChunkBacked(std::string_view name) const;
 
   std::vector<std::string> TableNames() const;
 

@@ -7,12 +7,13 @@
 // columns' pages.
 //
 // Implementations:
-//  - MemoryDataProvider wraps an in-memory Table. Its ResidentTable()
-//    shortcut serves the row kernel and base queries directly; its
-//    column pages (built from the table the first time a pin asks for
-//    that column of that chunk, then cached) are the resident relation's
-//    one columnar form, which the columnar kernels stream exactly like a
-//    paged relation's chunks.
+//  - MemoryDataProvider wraps an in-memory Table. Its column pages
+//    (built from the table the first time a pin asks for that column of
+//    that chunk, then cached) are the resident relation's one columnar
+//    form, which the columnar kernels and base queries stream exactly
+//    like a paged relation's chunks. Its ResidentTable() shortcut serves
+//    the row kernel (the oracle) and relations with an untyped column,
+//    which have no column pages.
 //  - ChunkFileDataProvider pages column pages from a chunk file through
 //    a shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
@@ -63,8 +64,8 @@ class DataProvider {
   Result<PinnedChunk> Pin(size_t chunk) const;
 
   /// The whole relation as one resident Table when this provider is
-  /// memory-backed — the zero-overhead path consumers prefer when
-  /// non-null. Paged providers return nullptr.
+  /// memory-backed — what the row kernel evaluates in place. Paged
+  /// providers return nullptr.
   virtual const Table* ResidentTable() const { return nullptr; }
 
   /// Per-column min/max stats of chunk `chunk` when they are available

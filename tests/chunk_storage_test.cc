@@ -583,7 +583,8 @@ TEST_F(ChunkStorageTest, ChunkPagedEvalIsByteIdenticalAtAnyBudget) {
         Catalog paged;
         paged.RegisterProvider(
             "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
-        EXPECT_TRUE(paged.IsChunkBacked("d"));
+        EXPECT_EQ(paged.GetProvider("d").ValueOrDie()->ResidentTable(),
+                  nullptr);
         EvalContext context;
         context.engine = engine;
         context.chunk_pruning = pruning;
@@ -745,7 +746,7 @@ TEST_F(ChunkStorageTest, LoadSiteCatalogServesChunkedPartitions) {
   StorageOptions storage;
   storage.buffer_bytes = 1;  // pathological: page everything
   Catalog site0 = LoadSiteCatalog(dir_, 0, storage).ValueOrDie();
-  EXPECT_TRUE(site0.IsChunkBacked("d"));
+  EXPECT_EQ(site0.GetProvider("d").ValueOrDie()->ResidentTable(), nullptr);
   // Get() refuses chunk-backed entries; the provider path serves them.
   EXPECT_TRUE(site0.Get("d").status().IsFailedPrecondition());
 

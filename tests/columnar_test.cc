@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +90,37 @@ TEST(ColumnTest, HashMatchesValueHash) {
   Column s(ValueType::kString);
   s.Append(Value("k")).Check();
   EXPECT_EQ(s.HashAt(0), Value("k").Hash());
+}
+
+TEST(ColumnTest, EqualsAtMatchesBoxedEquals) {
+  // Every cell type (NULL cells included) against every value type:
+  // EqualsAt is exactly Value::Equals of the boxed cell, so numbers
+  // compare across INT64/FLOAT64, NULL equals only NULL, NaN nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = (int64_t{1} << 53) + 1;  // Not exact as a double.
+  const std::vector<Value> values = {
+      Value::Null(), Value(int64_t{0}), Value(int64_t{3}),
+      Value(int64_t{-7}), Value(big),
+      Value(std::numeric_limits<int64_t>::max()), Value(3.0), Value(2.5),
+      Value(nan), Value(-0.0), Value(0.0), Value(9007199254740992.0),
+      Value(""), Value("a"), Value("3")};
+  Column ints(ValueType::kInt64);
+  Column doubles(ValueType::kFloat64);
+  Column strings(ValueType::kString);
+  for (const Value& v : values) {
+    if (v.is_null() || v.is_int64()) ints.Append(v).Check();
+    if (v.is_null() || v.is_numeric()) doubles.Append(v).Check();
+    if (v.is_null() || v.is_string()) strings.Append(v).Check();
+  }
+  for (const Column* column : {&ints, &doubles, &strings}) {
+    for (size_t i = 0; i < column->size(); ++i) {
+      for (const Value& v : values) {
+        EXPECT_EQ(column->EqualsAt(i, v), column->GetValue(i).Equals(v))
+            << ValueTypeToString(column->type()) << " cell "
+            << column->GetValue(i).ToString() << " vs " << v.ToString();
+      }
+    }
+  }
 }
 
 TEST(ChunkBuildTest, RoundTrip) {
@@ -223,6 +256,53 @@ TEST(EvaluateGmdjTest, ColumnarRejectsUntypedColumns) {
   EXPECT_TRUE(EvaluateGmdj(base, op, catalog, context).ok());
 }
 
+TEST(EvaluateGmdjTest, AutoRoutesUntypedRelationsToTheRowEngine) {
+  // A relation with an untyped column has no chunk form: kAuto answers
+  // through the row engine, and its base query still answers, equal to
+  // σ/π over its rows.
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"x", ValueType::kNull}})
+                         .ValueOrDie();
+  Table detail(schema);
+  detail.AppendUnchecked({Value(int64_t{1}), Value::Null()});
+  detail.AppendUnchecked({Value(int64_t{2}), Value("s")});
+  detail.AppendUnchecked({Value(int64_t{1}), Value(2.5)});
+  detail.AppendUnchecked({Value(int64_t{2}), Value("s")});
+  Catalog catalog;
+  catalog.Register("d", detail);
+  auto bytes = [](const Table& t) {
+    std::vector<uint8_t> out;
+    WriteTable(t, &out);
+    return out;
+  };
+  for (const std::vector<std::string>& columns :
+       {std::vector<std::string>{"g"}, std::vector<std::string>{"x", "g"}}) {
+    BaseQuery query{"d", columns, true, nullptr};
+    EXPECT_EQ(bytes(query.Execute(catalog).ValueOrDie()),
+              bytes(Project(detail, columns, true).ValueOrDie()));
+  }
+  BaseQuery filtered{"d", {"x"}, true, Gt(RCol("g"), Lit(Value(1)))};
+  EXPECT_EQ(bytes(filtered.Execute(catalog).ValueOrDie()),
+            bytes(Project(Select(detail, filtered.where).ValueOrDie(), {"x"},
+                          true)
+                      .ValueOrDie()));
+
+  Table base = Project(detail, {"g"}, true).ValueOrDie();
+  GmdjOp op;
+  op.detail_table = "d";
+  op.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
+                                Eq(RCol("g"), BCol("g"))});
+  EvalProfile profile;
+  EvalContext context;
+  context.profile = &profile;
+  Table out = EvaluateGmdj(base, op, catalog, context).ValueOrDie();
+  EXPECT_EQ(profile.engines_used.load(), kEngineBitRow);
+  context.engine = EvalEngine::kRow;
+  context.profile = nullptr;
+  EXPECT_EQ(bytes(out),
+            bytes(EvaluateGmdj(base, op, catalog, context).ValueOrDie()));
+}
+
 TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
   Table detail = MakeDetail(5, 120);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
@@ -253,12 +333,13 @@ TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
   EXPECT_EQ(col_bits, kEngineBitColumnar);
   EXPECT_TRUE(col_out.SameRows(row_out));
 
-  // kAuto on a resident relation keeps the row engine...
+  // kAuto picks the columnar kernels on a resident relation (its cached
+  // column pages)...
   auto [auto_out, auto_bits] = run(EvalEngine::kAuto, true);
-  EXPECT_EQ(auto_bits, kEngineBitRow);
+  EXPECT_EQ(auto_bits, kEngineBitColumnar);
   EXPECT_TRUE(auto_out.SameRows(row_out));
-  // ...and picks the columnar kernels for the same rows behind a paged
-  // provider (a concatenation exposes no ResidentTable()).
+  // ...and on the same rows behind a paged provider (a concatenation
+  // exposes no ResidentTable()).
   Catalog paged;
   paged.RegisterProvider(
       "d", std::make_shared<ConcatDataProvider>(std::vector<DataProviderPtr>{

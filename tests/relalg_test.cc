@@ -1,8 +1,19 @@
 #include "relalg/operators.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include "expr/builder.h"
+#include "net/serde.h"
+#include "storage/buffer_manager.h"
+#include "storage/chunk_file.h"
+#include "storage/data_provider.h"
 
 namespace skalla {
 namespace {
@@ -133,6 +144,84 @@ TEST(RelalgTest, BaseQueryOutputSchema) {
   EXPECT_EQ(s->field(0).name, "h");
   EXPECT_EQ(s->field(0).type, ValueType::kString);
   EXPECT_EQ(s->field(1).name, "g");
+}
+
+// Every key shape the streaming DISTINCT must dedup exactly like
+// Distinct() over boxed rows: NULL keys, a FLOAT64 column holding
+// integral values, non-integral ones, NaN and both zeros, and duplicates
+// that recur across 3-row chunks.
+Table DistinctSample() {
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"h", ValueType::kString},
+                                   {"f", ValueType::kFloat64},
+                                   {"v", ValueType::kInt64}})
+                         .ValueOrDie();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value fs[] = {Value(1.0), Value(2.0), Value(nan), Value::Null(),
+                      Value(2.5), Value(-0.0), Value(0.0)};
+  const Value hs[] = {Value("a"), Value("b"), Value::Null()};
+  Table t(schema);
+  for (int64_t i = 0; i < 26; ++i) {
+    t.AppendUnchecked({i % 3 == 2 ? Value::Null() : Value(i % 3), hs[i / 2 % 3],
+                       fs[i % 7], Value(i)});
+  }
+  return t;
+}
+
+std::vector<uint8_t> TableBytes(const Table& t) {
+  std::vector<uint8_t> bytes;
+  WriteTable(t, &bytes);
+  return bytes;
+}
+
+TEST(RelalgTest, BaseQueryStreamingMatchesProjectDistinct) {
+  const Table t = DistinctSample();
+  MemoryDataProvider resident(std::make_shared<const Table>(t),
+                              /*chunk_rows=*/3);
+  const std::string path = ::testing::TempDir() + "relalg_base_query_" +
+                           std::to_string(::getpid()) + ".skc";
+  WriteChunkFile(t, path, /*chunk_rows=*/3).Check();
+  auto paged = ChunkFileDataProvider::Open(
+                   path, std::make_shared<BufferManager>(0))
+                   .ValueOrDie();
+  Catalog catalog;
+  catalog.Register("t", t);
+
+  const ExprPtr where = Gt(RCol("v"), Lit(Value(5)));
+  const BaseQuery queries[] = {
+      {"t", {"g"}, true, nullptr},
+      {"t", {"f"}, true, nullptr},
+      {"t", {"g", "h"}, true, nullptr},
+      {"t", {"h", "f"}, true, where},
+      {"t", {"f", "g"}, true, Eq(RCol("h"), Lit(Value("a")))},
+      {"t", {"g", "h"}, false, where},
+      {"t", {}, true, nullptr},
+  };
+  for (const BaseQuery& q : queries) {
+    SCOPED_TRACE(q.ToString());
+    Table source = t;
+    if (q.where != nullptr) source = Select(t, q.where).ValueOrDie();
+    const std::vector<uint8_t> expected =
+        TableBytes(Project(source, q.columns, q.distinct).ValueOrDie());
+    EXPECT_EQ(TableBytes(q.Execute(resident).ValueOrDie()), expected);
+    EXPECT_EQ(TableBytes(q.Execute(*paged).ValueOrDie()), expected);
+    EXPECT_EQ(TableBytes(q.Execute(catalog).ValueOrDie()), expected);
+  }
+  // NaN never equals itself, so each NaN key is its own row; -0.0 and
+  // 0.0 are one key, kept as first seen.
+  Table floats = queries[1].Execute(resident).ValueOrDie();
+  size_t nans = 0, zeros = 0;
+  for (size_t r = 0; r < floats.num_rows(); ++r) {
+    const Value& f = floats.at(r, 0);
+    if (f.is_float64() && std::isnan(f.float64())) ++nans;
+    if (f.is_float64() && f.float64() == 0.0) {
+      ++zeros;
+      EXPECT_TRUE(std::signbit(f.float64()));
+    }
+  }
+  EXPECT_EQ(nans, 4u);  // Rows 2, 9, 16 and 23.
+  EXPECT_EQ(zeros, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(RelalgTest, EmptyProjectionYieldsSingleEmptyRowUnderDistinct) {
